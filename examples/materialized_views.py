@@ -7,9 +7,8 @@ Walks the MV tier end to end:
 2. query it -- the answer comes from the view (stats.mv_cached),
 3. append rows and watch the *incremental* refresh: the post-append
    answer still serves from the view, bit-identical to recomputation,
-4. let repetition auto-admit a second query (third observation wins),
-5. manage views over the wire: op=views, op=drop_view,
-6. save the dataset -- views persist in a .mv.npz sidecar -- and
+4. manage views over the wire: op=materialize, op=views, op=drop_view,
+5. save the dataset -- views persist in a .mv.npz sidecar -- and
    reopen it: the first query of the new process is already warm.
 
 Run with:  PYTHONPATH=src python examples/materialized_views.py
@@ -36,7 +35,7 @@ def main() -> None:
     service = GeoService()
     service.register("taxi", dataset)
 
-    # 1. Pin the dashboard's hot query: explicit views are never evicted.
+    # 1. Pin the dashboard's hot query: it stays until drop_view.
     info = dataset.over(HOT).agg(*AGGS).materialize("hot-midtown")
     print(f"\nPinned '{info['name']}': {info['cells']} covering cells, "
           f"{dataset.materialized.views()[0].nbytes():,} bytes of records")
@@ -66,24 +65,21 @@ def main() -> None:
           f"count {after.count:,}, identical to recompute: "
           f"{after.values == cold.values and after.count == cold.count}")
 
-    # 4. Auto-admission: the third observation of the same query key
-    #    materializes it without anyone calling materialize().
+    # 4. Wire management: pin a second query, list, and drop it again.
+    #    Repeating a query never creates a view; only materialize does.
     nearby = {"bbox": [-74.00, 40.72, -73.95, 40.78]}
-    for _ in range(3):
-        service.run_dict({"v": 2, "dataset": "taxi", "region": nearby,
-                          "aggregates": ["count"]})
-    names = [v.name for v in dataset.materialized.views()]
-    print(f"\nAfter 3 repeats of a second query, views: {names}")
-
-    # 5. Wire management: list and drop.
+    pinned = service.run_dict({"v": 2, "op": "materialize", "dataset": "taxi",
+                               "region": nearby, "aggregates": ["count"],
+                               "name": "nearby"})
+    print(f"\nop=materialize -> '{pinned['data']['name']}'")
     listed = service.run_dict({"v": 2, "op": "views", "dataset": "taxi"})
-    print("op=views ->", [(v["name"], v["hits"], v["pinned"])
+    print("op=views ->", [(v["name"], v["hits"])
                           for v in listed["data"]["materialized"]])
     dropped = service.run_dict({"v": 2, "op": "drop_view", "dataset": "taxi",
-                                "name": names[-1]})
+                                "name": "nearby"})
     print("op=drop_view ->", dropped["data"])
 
-    # 6. Warm restart: the sidecar carries the views across processes.
+    # 5. Warm restart: the sidecar carries the views across processes.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "taxi.npz"
         dataset.save(path)

@@ -34,14 +34,16 @@ each other's hints), ``cache: false`` routes an adaptive dataset
 through its wrapped base block (no trie probes, no statistics
 recorded), and ``count_only`` takes the Listing 2 fast path.
 
-Every single-region query first probes the result tier of
-:mod:`repro.cache` (see :meth:`Dataset._result_key` for the key
-discipline): a repeat of an identical request -- wire, fluent, or
-batched -- serves the exact stored engine result, skipping covering
-and execution entirely, with byte-identical answers guaranteed because
-the tier stores outcomes.  Appends bump :attr:`Dataset.version`, which
-is part of every key, so writes lazily invalidate all warm entries for
-the dataset and its views.
+Every single-region query is answered by exactly one tier, chosen in
+:meth:`Dataset._probe_tiers`: a materialized view pinned for it, else
+the result tier of :mod:`repro.cache` (see :meth:`Dataset._result_key`
+for the key discipline), else the engine.  A repeat of an identical
+request -- wire, fluent, or batched -- serves the exact stored engine
+result, skipping covering and execution entirely, with byte-identical
+answers guaranteed because both tiers store outcomes.  Appends bump
+:attr:`Dataset.version`, which is part of every result-tier key, so
+writes lazily invalidate all warm entries for the dataset and its
+views; materialized views refresh in place instead.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ class Dataset:
             )
             if cache is not None:
                 self.block.planner.use_cache(cache)
-        # The materialized-view tier (repro.materialize): hot answers
-        # pinned as first-class views, refreshed incrementally on
+        # The materialized-view tier (repro.materialize): answers
+        # pinned by an explicit materialize, refreshed incrementally on
         # append instead of invalidated.  Per dataset *and* per
         # filtered view -- the MV key's predicate component is implicit
         # in which store a view lives in.
@@ -332,8 +334,8 @@ class Dataset:
     def invalidate_cache(self) -> int:
         """Eagerly drop this dataset's result-tier entries (all
         versions, all views -- they share the token) and every
-        materialized view, pinned included: explicit invalidation means
-        "recompute everything".  Appends never call this -- they
+        materialized view: explicit invalidation means "recompute
+        everything".  Appends never call this -- they
         invalidate the result tier lazily by bumping :attr:`version`
         and *refresh* MVs in place.  Returns the result-tier count."""
         dropped = self._scope.invalidate()
@@ -504,8 +506,8 @@ class Dataset:
         per-covering-cell records are materialised, and from then on
         identical requests answer from the view -- including right
         after appends, which refresh it incrementally instead of
-        invalidating.  Pinned views never auto-evict; drop them with
-        :meth:`drop_view`.  Returns the view's info row.
+        invalidating.  Views stay until :meth:`drop_view`.  Returns the
+        view's info row.
         """
         request = as_request(request)
         with self._rwlock.read():
@@ -547,7 +549,7 @@ class Dataset:
             result = self._engine_result(request)
             self._scope.fill(result_key, result)
         try:
-            view = self._admit_view(request, key, result, pinned=True, name=name)
+            view = self._admit_view(request, key, result, name)
         except KeyError as error:
             raise ApiError(DUPLICATE_VIEW, str(error.args[0])) from error
         return view.info(self._version)
@@ -867,11 +869,18 @@ class Dataset:
             "pruning_rate": (pruned / total) if total else 0.0,
         }
 
-    def _cached_response(self, result, latency_ms: float) -> QueryResponse:  # noqa: ANN001
-        """A response rebuilt from a result-tier hit: values and count
-        are the exact cached objects; the probe/hit counters describe
+    def _respond(
+        self,
+        result: EngineResult,
+        latency_ms: float,
+        *,
+        result_cached: bool = False,
+        mv_cached: bool = False,
+    ) -> QueryResponse:
+        """The response for a single-region answer, whichever tier
+        produced ``result``.  Values and count are the exact stored or
+        executed objects; on a tier hit the probe/hit counters describe
         the execution that originally produced them."""
-        result = result.as_cached()
         return QueryResponse(
             values=dict(result.values),
             count=result.count,
@@ -880,7 +889,8 @@ class Dataset:
                 cache_hits=result.cache_hits,
                 latency_ms=latency_ms,
                 covering_cached=int(result.covering_cached),
-                result_cached=int(result.result_cached),
+                result_cached=int(result_cached),
+                mv_cached=int(mv_cached),
                 shards_total=result.shards_total,
                 shards_pruned=result.shards_pruned,
             ),
@@ -907,27 +917,6 @@ class Dataset:
         except TypeError:
             return None
 
-    def _mv_response(self, view: MaterializedView, result_cached: bool, latency_ms: float) -> QueryResponse:
-        """A response served by the MV tier (values/count are the
-        view's current refreshed answer, exact by the refresh gate)."""
-        result = view.result
-        return QueryResponse(
-            values=dict(result.values),
-            count=result.count,
-            stats=QueryStats(
-                cells_probed=result.cells_probed,
-                cache_hits=result.cache_hits,
-                latency_ms=latency_ms,
-                covering_cached=int(result.covering_cached),
-                result_cached=int(result_cached),
-                mv_cached=1,
-                shards_total=result.shards_total,
-                shards_pruned=result.shards_pruned,
-            ),
-            dataset=self.name,
-            version=self._version,
-        )
-
     def _engine_result(self, request: QueryRequest) -> EngineResult:
         """Cold single-region execution (the non-cached paths and MV
         admission share it): the Listing 2 count fast path or a
@@ -945,27 +934,11 @@ class Dataset:
         handle = self._execution_handle(request)
         return handle.select(request.target, list(request.aggregates), mode=request.mode)
 
-    def _maybe_admit(self, request: QueryRequest, key: tuple | None, result: EngineResult) -> None:
-        """Feed the MV admission log with a tier miss; admit once the
-        key crosses the threshold (``result`` is the exact current
-        answer -- engine-produced or result-tier stored, both cold-
-        identical at this version).  Auto-admission follows the result
-        tier's enabled flag: a cache-off dataset must stay cache-off."""
-        if key is None or not self._scope.enabled:
-            return
-        if not self._mv.observe(key):
-            return
-        try:
-            self._admit_view(request, key, result, pinned=False, name=None)
-        except KeyError:  # pragma: no cover - concurrent admission race
-            pass
-
     def _admit_view(
         self,
         request: QueryRequest,
         key: tuple,
         result: EngineResult,
-        pinned: bool,
         name: str | None,
     ) -> MaterializedView:
         """Build and install the MV serving ``request``: the unpruned
@@ -991,57 +964,50 @@ class Dataset:
             records=records,
             result=result,
             version=self._version,
-            pinned=pinned,
         )
         return self._mv.admit(view)
 
-    def _execute(self, request: QueryRequest) -> QueryResponse:
-        """Carry out a validated request against this dataset's block
-        (``where`` already resolved to a view by :meth:`query`).
+    def _probe_tiers(self, request: QueryRequest) -> tuple[QueryResponse | None, tuple | None]:
+        """The one place a single-region request picks its answering
+        tier, in order: materialized view, result tier, engine.
 
-        Single-region requests probe the MV tier first, then the result
-        tier: both serve exact stored :class:`QueryResult` objects --
-        covering and execution skipped -- byte-identical to cold
-        execution because both tiers store outcomes, never recompute.
-        An MV hit still probes (and on a version-bumped miss, re-fills)
-        the result tier, so that tier's telemetry and warmth are
-        unchanged by MVs sitting above it.
+        Returns ``(response, None)`` when a tier holds the answer --
+        both store exact :class:`QueryResult` outcomes, so covering and
+        execution are skipped and the bytes equal cold execution -- or
+        ``(None, result key)`` when the caller must run the engine and
+        hand the outcome to :meth:`_engine_response`.  Exactly one tier
+        answers: an MV hit never touches the result tier.
         """
-        if request.grouped:
-            return self._execute_grouped(request)
-        key = self._result_key(request)
-        mv_key = self._mv_key(request)
         start = perf_counter()
-        view = self._mv.lookup(mv_key)
+        view = self._mv.lookup(self._mv_key(request))
         if view is not None:
-            cached = self._scope.probe(key)
-            if cached is None:
-                self._scope.fill(key, view.result)
-            return self._mv_response(view, cached is not None, (perf_counter() - start) * 1e3)
+            return self._respond(view.result, (perf_counter() - start) * 1e3, mv_cached=True), None
+        key = self._result_key(request)
         cached = self._scope.probe(key)
         if cached is not None:
-            response = self._cached_response(cached, (perf_counter() - start) * 1e3)
-            self._maybe_admit(request, mv_key, cached)
+            return self._respond(cached, (perf_counter() - start) * 1e3, result_cached=True), None
+        return None, key
+
+    def _engine_response(
+        self, key: tuple | None, result: EngineResult, latency_ms: float
+    ) -> QueryResponse:
+        """The engine-tier tail of :meth:`_probe_tiers`: fill the result
+        tier under ``key`` and count the routing decision."""
+        self._scope.fill(key, result)
+        self._note_routing(result)
+        return self._respond(result, latency_ms)
+
+    def _execute(self, request: QueryRequest) -> QueryResponse:
+        """Carry out a validated request against this dataset's block
+        (``where`` already resolved to a view by :meth:`query`)."""
+        if request.grouped:
+            return self._execute_grouped(request)
+        start = perf_counter()
+        response, key = self._probe_tiers(request)
+        if response is not None:
             return response
         result = self._engine_result(request)
-        self._scope.fill(key, result)
-        self._maybe_admit(request, mv_key, result)
-        self._note_routing(result)
-        latency_ms = (perf_counter() - start) * 1e3
-        return QueryResponse(
-            values=dict(result.values),
-            count=result.count,
-            stats=QueryStats(
-                cells_probed=result.cells_probed,
-                cache_hits=result.cache_hits,
-                latency_ms=latency_ms,
-                covering_cached=int(result.covering_cached),
-                shards_total=result.shards_total,
-                shards_pruned=result.shards_pruned,
-            ),
-            dataset=self.name,
-            version=self._version,
-        )
+        return self._engine_response(key, result, (perf_counter() - start) * 1e3)
 
     def _execute_grouped(self, request: QueryRequest) -> QueryResponse:
         """Answer every feature in one grouped engine pass plus the
@@ -1147,28 +1113,12 @@ class Dataset:
             if request.count_only or request.grouped or request.where is not None:
                 responses[index] = self._query_inner(request)
                 continue
-            # MV-tier then result-tier probe: members already answered
-            # (same region, aggregates, version, and hints) never reach
-            # the engine pass; the rest execute batched and fill on the
-            # way out.  Batch members serve from MVs but do not feed
-            # the admission log -- admission is driven by the
-            # single-query serving path (:meth:`_execute`).
-            key = self._result_key(request)
-            probe_start = perf_counter()
-            view = self._mv.lookup(self._mv_key(request))
-            if view is not None:
-                cached = self._scope.probe(key)
-                if cached is None:
-                    self._scope.fill(key, view.result)
-                responses[index] = self._mv_response(
-                    view, cached is not None, (perf_counter() - probe_start) * 1e3
-                )
-                continue
-            cached = self._scope.probe(key)
-            if cached is not None:
-                responses[index] = self._cached_response(
-                    cached, (perf_counter() - probe_start) * 1e3
-                )
+            # Members a tier already answers (same region, aggregates,
+            # version, and hints) never reach the engine pass; the rest
+            # execute batched and fill the result tier on the way out.
+            response, key = self._probe_tiers(request)
+            if response is not None:
+                responses[index] = response
                 continue
             fill_keys[index] = key
             cache_key = request.cache if cache_matters else True
@@ -1183,22 +1133,7 @@ class Dataset:
             results = handle.run_batch(queries, mode=mode)
             latency_ms = (perf_counter() - start) * 1e3
             for index, result in zip(indices, results):
-                self._scope.fill(fill_keys[index], result)
-                self._note_routing(result)
-                responses[index] = QueryResponse(
-                    values=dict(result.values),
-                    count=result.count,
-                    stats=QueryStats(
-                        cells_probed=result.cells_probed,
-                        cache_hits=result.cache_hits,
-                        latency_ms=latency_ms,
-                        covering_cached=int(result.covering_cached),
-                        shards_total=result.shards_total,
-                        shards_pruned=result.shards_pruned,
-                    ),
-                    dataset=self.name,
-                    version=self._version,
-                )
+                responses[index] = self._engine_response(fill_keys[index], result, latency_ms)
         return [response for response in responses if response is not None]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -472,8 +472,8 @@ class QueryStats:
     #: short-circuited members for batches routed through one response.
     result_cached: int = 0
     #: Whole answers supplied by the materialized-view tier of
-    #: :mod:`repro.materialize` (0/1; a refreshed MV answering after an
-    #: append sets this while ``result_cached`` stays 0).
+    #: :mod:`repro.materialize` (0/1; one tier answers, so an MV hit
+    #: always reports ``result_cached`` 0).
     mv_cached: int = 0
     #: Shards in the answering block's partition (0 when the dataset is
     #: not sharded).  Like ``cells_probed``, cached answers keep the

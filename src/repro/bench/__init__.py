@@ -29,7 +29,7 @@ from repro.bench.registry import (
     run_scenario,
     scenario_names,
 )
-from repro.bench.report import render_markdown, render_result_text
+from repro.bench.report import render_markdown
 from repro.bench.results import (
     SCHEMA_VERSION,
     load_result,
@@ -65,7 +65,6 @@ __all__ = [
     "register",
     "render_findings",
     "render_markdown",
-    "render_result_text",
     "result_filename",
     "run_scenario",
     "scenario_names",

@@ -1,6 +1,4 @@
-"""Renderers over result payloads: the markdown report of ``repro.bench
-report`` and the paper-style ``.txt`` views the benchmark suite writes
-next to its JSON results."""
+"""The markdown report of ``repro.bench report`` over result payloads."""
 
 from __future__ import annotations
 
@@ -46,31 +44,4 @@ def render_markdown(results: Mapping[str, Mapping]) -> str:
             f"| {payload['repeats']} "
             f"| {', '.join(shown)} |"
         )
-    return "\n".join(lines)
-
-
-def render_result_text(payload: Mapping) -> str:
-    """The paper-style text view of one result.
-
-    Experiment results re-render their recorded tables (this is what the
-    legacy ``benchmarks/results/<id>.txt`` files now contain -- a pure
-    view over the JSON artifact); serving/engine results render a
-    summary of the timing stats and metrics.
-    """
-    tables = payload.get("artifacts", {}).get("tables")
-    if tables:
-        from repro.bench.scenarios import result_from_dict
-
-        return "\n\n".join(result_from_dict(table).render() for table in tables)
-    stats = payload["stats"]
-    lines = [
-        f"[{payload['scenario']}] {payload.get('description', '')}".rstrip(),
-        f"  scale   : {payload['scale']} (repeats={payload['repeats']}, "
-        f"warmup={payload['warmup']})",
-        f"  median  : {_format_seconds(stats['median_s'])}",
-        f"  iqr     : {_format_seconds(stats['iqr_s'])}",
-        f"  min     : {_format_seconds(stats['min_s'])}",
-    ]
-    for name, value in sorted(payload.get("metrics", {}).items()):
-        lines.append(f"  {name:<14}: {value:g}")
     return "\n".join(lines)

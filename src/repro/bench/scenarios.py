@@ -5,8 +5,7 @@ Importing this module populates the registry with:
 * ``experiment`` group -- one scenario per reproduced table/figure
   (``fig10`` .. ``fig19``, ``table2``); the timed thunk is the whole
   experiment replay and the rendered tables land in the result's
-  ``artifacts`` (the ``benchmarks/results/*.txt`` files are views over
-  exactly this data);
+  ``artifacts``;
 * ``engine`` group -- raw-engine paths over the NYC workload:
   sequential ``select`` and batched ``run_batch`` on plain, sharded,
   and adaptive blocks, the ``engine_batch_parity`` gate asserting the
@@ -90,18 +89,6 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "rows": [[_json_safe(value) for value in row] for row in result.rows],
         "notes": list(result.notes),
     }
-
-
-def result_from_dict(table: dict) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from a result artifact (the
-    ``.txt`` renderers go through this)."""
-    return ExperimentResult(
-        experiment=table["experiment"],
-        title=table["title"],
-        headers=list(table["headers"]),
-        rows=[list(row) for row in table["rows"]],
-        notes=list(table.get("notes", [])),
-    )
 
 
 # -- experiment scenarios -----------------------------------------------------------

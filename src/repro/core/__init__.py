@@ -10,14 +10,7 @@ from repro.core.builder import (
     prepare_base_data,
 )
 from repro.core.geoblock import GeoBlock, QueryResult, common_ancestor
-from repro.core.serialize import (
-    load,
-    load_adaptive_block,
-    load_block,
-    save,
-    save_adaptive_block,
-    save_block,
-)
+from repro.core.serialize import load, save
 from repro.core.updates import apply_batch, apply_update, apply_update_adaptive
 from repro.core.header import GlobalHeader
 from repro.core.policy import CachePolicy
@@ -45,11 +38,7 @@ __all__ = [
     "apply_update",
     "apply_update_adaptive",
     "load",
-    "load_adaptive_block",
-    "load_block",
     "save",
-    "save_adaptive_block",
-    "save_block",
     "build_incremental",
     "build_isolated",
     "common_ancestor",

@@ -21,17 +21,17 @@ meta field on disk):
   including its AggregateTrie (node + record regions, Figure 7), the
   accumulated query statistics, and the cache policy.
 
-The per-kind functions (``save_block``/``save_adaptive_block`` and
-``load_block``/``load_adaptive_block``) predate the unified pair and
-are kept as thin delegating shims; they add nothing but a kind
-assertion.  Prefer :func:`save`/:func:`load` (or the service API's
-``Dataset.save``/``Dataset.open``) in new code.
+Writes are atomic: an archive lands in a temporary file beside its
+destination and is renamed over it, so a save that dies partway leaves
+the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
 
 import numpy as np
 
@@ -101,9 +101,29 @@ def _block_arrays(block: GeoBlock) -> dict[str, np.ndarray]:
 
 
 def _write(path: str | pathlib.Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    np.savez_compressed(
-        path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays
+    """Write the archive to a temporary file next to ``path`` and
+    rename it into place: a crash mid-save never leaves a truncated
+    file under the final name.  The final name follows numpy's rule
+    (``.npz`` appended unless already there)."""
+    final = os.fspath(path)
+    if not final.endswith(".npz"):
+        final += ".npz"
+    handle, temporary = tempfile.mkstemp(
+        dir=os.path.dirname(final) or ".", prefix=os.path.basename(final) + ".", suffix=".tmp"
     )
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            np.savez_compressed(
+                stream,
+                meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                **arrays,
+            )
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temporary, final)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def write_archive(path: str | pathlib.Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -239,48 +259,3 @@ def load(path: str | pathlib.Path) -> GeoBlock | AdaptiveGeoBlock:
         if kind == "adaptive":
             return _read_adaptive(archive, meta)
         return _read_block(archive, meta, kind)
-
-
-# -- per-kind delegating shims (deprecated; prefer save/load) -------------
-
-
-def save_block(block: GeoBlock, path: str | pathlib.Path) -> None:
-    """Persist a plain or sharded block (shim over :func:`save`).
-
-    Passing an adaptive block raises, as the historical contract did:
-    callers of this function expect a cache-free file, and silently
-    including the cache (or dropping it) would surprise either way.
-    """
-    if isinstance(block, AdaptiveGeoBlock):
-        raise BuildError("use save_adaptive_block for AdaptiveGeoBlock instances")
-    save(block, path)
-
-
-def save_adaptive_block(adaptive: AdaptiveGeoBlock, path: str | pathlib.Path) -> None:
-    """Persist an adaptive block (shim over :func:`save`)."""
-    if not isinstance(adaptive, AdaptiveGeoBlock):
-        raise BuildError("save_adaptive_block needs an AdaptiveGeoBlock; use save")
-    save(adaptive, path)
-
-
-def load_block(path: str | pathlib.Path) -> GeoBlock:
-    """Load a plain or sharded block (shim over the :func:`load`
-    internals).  The kind is checked on the metadata alone, so an
-    adaptive file is rejected before its trie/statistics arrays are
-    ever materialised."""
-    with np.load(path) as archive:
-        meta = _read_meta(archive)
-        kind = meta.get("kind", "geoblock")
-        if kind == "adaptive":
-            raise BuildError("use load_adaptive_block for adaptive GeoBlock files")
-        return _read_block(archive, meta, kind)
-
-
-def load_adaptive_block(path: str | pathlib.Path) -> AdaptiveGeoBlock:
-    """Load an adaptive block (shim over the :func:`load` internals;
-    non-adaptive files are rejected on the metadata alone)."""
-    with np.load(path) as archive:
-        meta = _read_meta(archive)
-        if meta.get("kind") != "adaptive":
-            raise BuildError("not an adaptive GeoBlock file; use load_block")
-        return _read_adaptive(archive, meta)

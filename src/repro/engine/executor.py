@@ -37,7 +37,7 @@ answers through this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -88,11 +88,6 @@ class QueryResult:
     #: (reuse across repeated regions, grouped features, and wire
     #: requests; serving stats).
     covering_cached: bool = False
-    #: Whether the whole result was served by the result tier of
-    #: :mod:`repro.cache` -- covering and execution were both skipped.
-    #: Values and count of a cached result are the exact objects the
-    #: original execution produced (the tier stores outcomes).
-    result_cached: bool = False
     #: Shards in the executing block's partition (0 for unsharded
     #: blocks); set by the sharded executor's routing pass.
     shards_total: int = 0
@@ -102,18 +97,6 @@ class QueryResult:
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]
-
-    def as_cached(self) -> "QueryResult":
-        """This result marked as served from the result tier.
-
-        Used on the result-tier probe path: the cached value keeps its
-        original probe/hit counters (they describe the execution that
-        produced the bytes) while ``result_cached`` tells telemetry --
-        and the per-response stats block -- that no execution happened.
-        """
-        if self.result_cached:
-            return self
-        return replace(self, result_cached=True)
 
 
 def default_aggs(aggs: Sequence[AggSpec] | None) -> list[AggSpec]:

@@ -6,9 +6,9 @@ aggregates)`` answers as :class:`MaterializedView` objects that refresh
 *incrementally* on ``Dataset.append`` -- delta-applying only the
 appended rows' covering-cell contributions, bit-identical to a cold
 rebuild -- instead of being invalidated by the version bump.  Admission
-is automatic (a bounded query log on the serving path) or explicit (the
-``materialize`` wire op / fluent verb), and views serialize alongside
-the dataset's ``.npz`` so a restarted server is warm from disk.
+is explicit only (the ``materialize`` wire op / fluent verb), and views
+serialize alongside the dataset's ``.npz`` so a restarted server is
+warm from disk.
 """
 
 from repro.materialize.persist import (
@@ -16,22 +16,12 @@ from repro.materialize.persist import (
     save_views,
     sidecar_path,
 )
-from repro.materialize.store import (
-    DEFAULT_ADMIT_AFTER,
-    DEFAULT_LOG_SIZE,
-    DEFAULT_MAX_VIEWS,
-    MaterializedStore,
-    QueryLog,
-)
+from repro.materialize.store import MaterializedStore
 from repro.materialize.view import MaterializedView, build_records, mv_key
 
 __all__ = [
-    "DEFAULT_ADMIT_AFTER",
-    "DEFAULT_LOG_SIZE",
-    "DEFAULT_MAX_VIEWS",
     "MaterializedStore",
     "MaterializedView",
-    "QueryLog",
     "build_records",
     "load_views",
     "mv_key",

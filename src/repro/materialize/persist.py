@@ -105,7 +105,6 @@ def save_views(
                 "mode": view.mode,
                 "trie": view.trie_hint,
                 "count_only": view.count_only,
-                "pinned": view.pinned,
                 "hits": view.hits,
                 "version": view.refreshed_version,
                 "result": _result_meta(view.result),
@@ -141,6 +140,10 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                 return 0
             loaded = 0
             for index, view_meta in enumerate(meta["views"]):
+                if not view_meta.get("pinned", True):
+                    # Auto-admitted by a pre-1.8 server: a guess, not a
+                    # pin -- it must not become permanent here.
+                    continue
                 region = parse_region(view_meta["region"])
                 aggs = [
                     AggSpec(function, column)
@@ -173,7 +176,6 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                     records=records,
                     result=_result_from_meta(view_meta["result"]),
                     version=int(view_meta["version"]),
-                    pinned=bool(view_meta["pinned"]),
                     hits=int(view_meta["hits"]),
                 )
                 store.admit(view)

@@ -1,102 +1,46 @@
-"""The per-dataset materialized-view store: admission, LRU, refresh.
+"""The per-dataset materialized-view store: view map and refresh.
 
 One :class:`MaterializedStore` lives on every :class:`Dataset` (each
 filtered view holds its own -- the MV key's predicate component is
-implicit in which store it lives in).  It owns three things:
+implicit in which store it lives in).  A view enters only through an
+explicit ``materialize`` (or the sidecar restoring one) and leaves only
+through ``drop_view`` / explicit invalidation: there is no admission
+policy and no bound, so the write path refreshes exactly the views
+somebody asked for.  The store owns two things:
 
-* a **bounded query log** feeding auto-admission: every single-region
-  request that misses the MV tier records an observation under its MV
-  key; once a key accumulates :data:`DEFAULT_ADMIT_AFTER` observations
-  it is admitted using the answer the request just produced (engine
-  execution or result-tier hit -- both are the exact cold answer at the
-  current version).  The log is an LRU of bounded size, so a client
-  cycling through endless distinct regions can neither grow it without
-  bound nor keep any one key's count alive forever;
-* the **view map**, also LRU-bounded: auto-admitted views evict
-  least-recently-served first once :data:`DEFAULT_MAX_VIEWS` is
-  exceeded; pinned views (explicit ``materialize`` ops) are never
-  auto-evicted and only leave through ``drop_view``;
+* the **view map**, keyed by MV key and by name;
 * the **refresh walk** the write path drives: on append the dataset
   calls :meth:`refresh_all` inside its exclusive section with the
   appended rows' leaf ids, and every view delta-applies
   (:meth:`MaterializedView.refresh`).
 
-Thread model: lookups/observations run under the dataset's shared read
-lock, concurrently; the store serialises its own map and counter
-mutations with an internal lock.  ``refresh_all`` runs only inside the
-dataset write section, which excludes all readers.
+Thread model: lookups run under the dataset's shared read lock,
+concurrently; the store serialises its own map and counter mutations
+with an internal lock.  ``refresh_all`` runs only inside the dataset
+write section, which excludes all readers.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.materialize.view import MaterializedView, MVKey
 
-#: Observations (initial miss included) before a key is auto-admitted.
-DEFAULT_ADMIT_AFTER = 3
-
-#: Bounded query-log entries (admission candidates tracked at once).
-DEFAULT_LOG_SIZE = 256
-
-#: Materialized views kept per store before auto-admitted ones are
-#: evicted least-recently-served first.
-DEFAULT_MAX_VIEWS = 32
-
-
-class QueryLog:
-    """Bounded hit-count / recency log of MV-admission candidates."""
-
-    __slots__ = ("capacity", "threshold", "_counts")
-
-    def __init__(
-        self, capacity: int = DEFAULT_LOG_SIZE, threshold: int = DEFAULT_ADMIT_AFTER
-    ) -> None:
-        self.capacity = capacity
-        self.threshold = threshold
-        self._counts: OrderedDict[MVKey, int] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def observe(self, key: MVKey) -> bool:
-        """Record one observation; True when ``key`` crossed the
-        admission threshold (the entry is retired either way then)."""
-        count = self._counts.pop(key, 0) + 1
-        if count >= self.threshold:
-            return True
-        self._counts[key] = count
-        while len(self._counts) > self.capacity:
-            self._counts.popitem(last=False)
-        return False
-
-    def forget(self, key: MVKey) -> None:
-        self._counts.pop(key, None)
-
 
 class MaterializedStore:
-    """Admission log + LRU view map + telemetry for one dataset."""
+    """View map + telemetry for one dataset."""
 
-    def __init__(
-        self,
-        max_views: int = DEFAULT_MAX_VIEWS,
-        admit_after: int = DEFAULT_ADMIT_AFTER,
-        log_size: int = DEFAULT_LOG_SIZE,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._views: OrderedDict[MVKey, MaterializedView] = OrderedDict()
+        self._views: dict[MVKey, MaterializedView] = {}
         self._by_name: dict[str, MaterializedView] = {}
-        self._log = QueryLog(capacity=log_size, threshold=admit_after)
         self._auto_names = 0
-        self.max_views = max_views
         # -- telemetry (service stats' ``mv`` block) --
         self.hits = 0
         self.misses = 0
         self.admissions = 0
-        self.evictions = 0
         self.drops = 0
         self.disk_bytes = 0
         self.incremental_refreshes = 0
@@ -109,7 +53,7 @@ class MaterializedStore:
     # -- read path -------------------------------------------------------
 
     def lookup(self, key: MVKey | None) -> MaterializedView | None:
-        """The view serving ``key``, or None; hits bump recency."""
+        """The view serving ``key``, or None."""
         if key is None:
             return None
         with self._lock:
@@ -117,20 +61,9 @@ class MaterializedStore:
             if view is None:
                 self.misses += 1
                 return None
-            self._views.move_to_end(key)
             view.hits += 1
             self.hits += 1
             return view
-
-    def observe(self, key: MVKey | None) -> bool:
-        """Feed the admission log; True when ``key`` should be admitted
-        now (the caller holds the exact current answer)."""
-        if key is None:
-            return False
-        with self._lock:
-            if key in self._views:
-                return False
-            return self._log.observe(key)
 
     # -- admission / removal ---------------------------------------------
 
@@ -149,25 +82,8 @@ class MaterializedStore:
                 raise KeyError(f"materialized view {view.name!r} already exists")
             self._views[view.key] = view
             self._by_name[view.name] = view
-            self._log.forget(view.key)
             self.admissions += 1
-            self._evict_over_bound()
             return view
-
-    def _evict_over_bound(self) -> None:
-        """Drop least-recently-served auto-admitted views over the
-        bound (pinned views never auto-evict); lock held by caller."""
-        if len(self._views) <= self.max_views:
-            return
-        for key in list(self._views):
-            if len(self._views) <= self.max_views:
-                break
-            view = self._views[key]
-            if view.pinned:
-                continue
-            del self._views[key]
-            self._by_name.pop(view.name, None)
-            self.evictions += 1
 
     def drop(self, name: str) -> MaterializedView | None:
         """Remove the view named ``name``; None when unknown."""
@@ -223,11 +139,9 @@ class MaterializedStore:
             views = list(self._views.values())
             return {
                 "views": len(views),
-                "pinned": sum(1 for view in views if view.pinned),
                 "hits": self.hits,
                 "misses": self.misses,
                 "admissions": self.admissions,
-                "evictions": self.evictions,
                 "drops": self.drops,
                 "incremental_refreshes": self.incremental_refreshes,
                 "full_refreshes": self.full_refreshes,

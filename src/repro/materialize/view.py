@@ -111,7 +111,6 @@ class MaterializedView:
         "covering",
         "records",
         "result",
-        "pinned",
         "hits",
         "refreshed_version",
         "incremental_refreshes",
@@ -132,7 +131,6 @@ class MaterializedView:
         records: np.ndarray | None,
         result: QueryResult,
         version: int,
-        pinned: bool = False,
         hits: int = 0,
     ) -> None:
         self.name = name
@@ -145,7 +143,6 @@ class MaterializedView:
         self.covering = covering
         self.records = records
         self.result = result
-        self.pinned = pinned
         self.hits = hits
         self.refreshed_version = version
         self.incremental_refreshes = 0
@@ -249,7 +246,6 @@ class MaterializedView:
             "mode": self.mode,
             "trie": self.trie_hint,
             "count_only": self.count_only,
-            "pinned": self.pinned,
             "hits": self.hits,
             "version": self.refreshed_version,
             "stale": self.refreshed_version < current_version,

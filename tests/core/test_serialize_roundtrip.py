@@ -10,13 +10,10 @@ from repro.core import (
     AggSpec,
     CachePolicy,
     GeoBlock,
-    load_adaptive_block,
-    load_block,
-    save_adaptive_block,
-    save_block,
+    load,
+    save,
 )
 from repro.engine.shards import ShardedGeoBlock
-from repro.errors import BuildError
 
 AGGS = [
     AggSpec("count"),
@@ -46,8 +43,8 @@ class TestShardedRoundTrip:
     def test_sharded_block_survives_save_load(self, small_base, small_polygons, tmp_path):
         block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
         path = tmp_path / "sharded.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
         assert loaded.shard_level == block.shard_level
         assert loaded.num_shards == block.num_shards
@@ -59,8 +56,8 @@ class TestShardedRoundTrip:
     def test_sharded_batch_after_load(self, small_base, small_polygons, tmp_path):
         block = ShardedGeoBlock.build(small_base, LEVEL)
         path = tmp_path / "sharded.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         for want, got in zip(
             block.run_batch(small_polygons, aggs=AGGS),
             loaded.run_batch(small_polygons, aggs=AGGS),
@@ -70,8 +67,8 @@ class TestShardedRoundTrip:
     def test_curve_layout_round_trips_splits(self, small_base, small_polygons, tmp_path):
         block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
         path = tmp_path / "curve.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
         assert loaded.layout == "curve"
         assert loaded.shard_level is None
@@ -89,7 +86,7 @@ class TestShardedRoundTrip:
 
         block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
         path = tmp_path / "v3.npz"
-        save_block(block, path)
+        save(block, path)
         with np.load(path) as archive:
             meta = serialize.read_archive_meta(archive)
             arrays = {name: archive[name] for name in archive.files if name != "meta"}
@@ -99,7 +96,7 @@ class TestShardedRoundTrip:
         assert "shard_level" in meta
         old_path = tmp_path / "v2.npz"
         serialize.write_archive(old_path, meta, arrays)
-        loaded = load_block(old_path)
+        loaded = load(old_path)
         assert isinstance(loaded, ShardedGeoBlock)
         assert loaded.layout == "prefix"
         assert loaded.shard_level == 11
@@ -123,8 +120,8 @@ class TestAdaptiveRoundTrip:
 
     def test_trie_and_statistics_survive(self, warmed, small_polygons, tmp_path):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         # Policy round-trips.
         assert loaded.policy.threshold == warmed.policy.threshold
         assert loaded.policy.rebuild_every == warmed.policy.rebuild_every
@@ -145,8 +142,8 @@ class TestAdaptiveRoundTrip:
         self, warmed, small_polygons, tmp_path
     ):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         assert_same_answers(warmed, loaded, small_polygons)
         # The loaded cache actually answers queries.
         hit_totals = sum(
@@ -158,8 +155,8 @@ class TestAdaptiveRoundTrip:
         self, warmed, small_polygons, tmp_path
     ):
         path = tmp_path / "adaptive.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         trie = loaded.adapt()  # rebuild purely from persisted statistics
         assert trie.num_cached == warmed.trie.num_cached
 
@@ -169,8 +166,8 @@ class TestAdaptiveRoundTrip:
         for polygon in small_polygons[:4]:
             adaptive.select(polygon, AGGS)
         path = tmp_path / "cold.npz"
-        save_adaptive_block(adaptive, path)
-        loaded = load_adaptive_block(path)
+        save(adaptive, path)
+        loaded = load(path)
         assert loaded.trie is None
         assert loaded.statistics.queries_recorded == 4
         assert_same_answers(adaptive, loaded, small_polygons)
@@ -188,8 +185,8 @@ class TestAdaptiveRoundTrip:
         y = (box.min_y + box.max_y) / 2
         apply_update_adaptive(warmed, x, y, {"fare": 1000.0, "distance": 1.0})
         path = tmp_path / "updated.npz"
-        save_adaptive_block(warmed, path)
-        loaded = load_adaptive_block(path)
+        save(warmed, path)
+        loaded = load(path)
         assert_same_answers(warmed, loaded, small_polygons)
 
     def test_sharded_base_block_round_trips(self, small_base, small_polygons, tmp_path):
@@ -200,34 +197,14 @@ class TestAdaptiveRoundTrip:
             adaptive.select(polygon, AGGS)
         adaptive.adapt()
         path = tmp_path / "adaptive-sharded.npz"
-        save_adaptive_block(adaptive, path)
-        loaded = load_adaptive_block(path)
+        save(adaptive, path)
+        loaded = load(path)
         assert isinstance(loaded.block, ShardedGeoBlock)
         assert_same_answers(adaptive, loaded, small_polygons)
 
 
-class TestKindGuards:
-    def test_save_block_rejects_adaptive(self, small_base, tmp_path):
-        adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
-        with pytest.raises(BuildError):
-            save_block(adaptive, tmp_path / "x.npz")
-
-    def test_load_block_rejects_adaptive_files(self, small_base, tmp_path):
-        adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
-        path = tmp_path / "adaptive.npz"
-        save_adaptive_block(adaptive, path)
-        with pytest.raises(BuildError):
-            load_block(path)
-
-    def test_load_adaptive_rejects_plain_files(self, small_base, tmp_path):
-        path = tmp_path / "plain.npz"
-        save_block(GeoBlock.build(small_base, LEVEL), path)
-        with pytest.raises(BuildError):
-            load_adaptive_block(path)
-
-
 class TestUnifiedSaveLoad:
-    """The kind-dispatching save()/load() pair and its delegating shims."""
+    """The kind-dispatching save()/load() pair."""
 
     def _handles(self, small_base, small_polygons):
         plain = GeoBlock.build(small_base, LEVEL)
@@ -241,8 +218,6 @@ class TestUnifiedSaveLoad:
         return {"geoblock": plain, "sharded": sharded, "adaptive": adaptive}
 
     def test_load_restores_each_kind(self, small_base, small_polygons, tmp_path):
-        from repro.core import load, save
-
         for kind, block in self._handles(small_base, small_polygons).items():
             path = tmp_path / f"{kind}.npz"
             save(block, path)
@@ -254,38 +229,30 @@ class TestUnifiedSaveLoad:
         assert GeoBlock.build(small_base, LEVEL).kind == "geoblock"
         assert ShardedGeoBlock.build(small_base, LEVEL).kind == "sharded"
 
-    def test_shims_delegate_bit_identically(self, small_base, small_polygons, tmp_path):
-        """save_block/save_adaptive_block write byte-for-byte what the
-        unified save() writes; load_block/load_adaptive_block return
-        blocks with identical aggregate arrays."""
-        import numpy as np
 
-        from repro.core import load, save
+class TestAtomicSave:
+    """save() writes beside the destination and renames into place."""
 
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
-        adaptive = AdaptiveGeoBlock(
-            GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
-        )
-        for polygon in small_polygons:
-            adaptive.select(polygon, AGGS)
-        adaptive.adapt()
-        for handle, legacy_save, legacy_load in (
-            (block, save_block, load_block),
-            (adaptive, save_adaptive_block, load_adaptive_block),
-        ):
-            new_path = tmp_path / "new.npz"
-            old_path = tmp_path / "old.npz"
-            save(handle, new_path)
-            legacy_save(handle, old_path)
-            with np.load(new_path) as new_archive, np.load(old_path) as old_archive:
-                assert sorted(new_archive.files) == sorted(old_archive.files)
-                for name in new_archive.files:
-                    assert np.array_equal(new_archive[name], old_archive[name]), name
-            via_new = load(old_path)
-            via_old = legacy_load(new_path)
-            assert type(via_new) is type(via_old)
-            assert_same_answers(via_new, via_old, small_polygons)
+    def test_failed_save_keeps_previous_file(self, small_base, small_polygons, tmp_path, monkeypatch):
+        block = GeoBlock.build(small_base, LEVEL)
+        path = tmp_path / "block.npz"
+        save(block, path)
 
-    def test_save_adaptive_shim_rejects_plain_blocks(self, small_base, tmp_path):
-        with pytest.raises(BuildError):
-            save_adaptive_block(GeoBlock.build(small_base, LEVEL), tmp_path / "x.npz")
+        def dies_partway(stream, **arrays):  # noqa: ANN001, ANN003
+            stream.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", dies_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save(ShardedGeoBlock.build(small_base, LEVEL), path)
+        monkeypatch.undo()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["block.npz"]
+        loaded = load(path)
+        assert type(loaded) is GeoBlock
+        assert_same_answers(block, loaded, small_polygons)
+
+    def test_final_name_follows_numpy_suffix_rule(self, small_base, tmp_path):
+        block = GeoBlock.build(small_base, LEVEL)
+        save(block, tmp_path / "bare")
+        save(block, str(tmp_path / "dotted.npz"))
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["bare.npz", "dotted.npz"]

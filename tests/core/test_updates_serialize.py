@@ -7,7 +7,7 @@ import pytest
 
 from repro.cells import EARTH
 from repro.core import AdaptiveGeoBlock, AggSpec, CachePolicy, GeoBlock
-from repro.core.serialize import load_block, save_block
+from repro.core.serialize import load, save
 from repro.core.updates import apply_batch, apply_update, apply_update_adaptive
 from repro.errors import BuildError, QueryError
 from repro.geometry import Polygon
@@ -117,8 +117,8 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path, quad_polygon):
         block, _ = _fresh_block()
         path = tmp_path / "block.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         assert loaded.level == block.level
         assert loaded.num_cells == block.num_cells
         original = block.select(quad_polygon, AGGS)
@@ -131,13 +131,13 @@ class TestSerialization:
     def test_roundtrip_preserves_count_path(self, tmp_path, quad_polygon):
         block, _ = _fresh_block()
         path = tmp_path / "block.npz"
-        save_block(block, path)
-        assert load_block(path).count(quad_polygon) == block.count(quad_polygon)
+        save(block, path)
+        assert load(path).count(quad_polygon) == block.count(quad_polygon)
 
     def test_version_check(self, tmp_path):
         block, _ = _fresh_block()
         path = tmp_path / "block.npz"
-        save_block(block, path)
+        save(block, path)
         # Corrupt the version field.
         import json
 
@@ -148,7 +148,7 @@ class TestSerialization:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(BuildError):
-            load_block(path)
+            load(path)
 
     def test_schema_kinds_roundtrip(self, tmp_path):
         from repro.storage import ColumnKind, ColumnSpec
@@ -162,6 +162,6 @@ class TestSerialization:
         )
         block = GeoBlock.build(extract(table, EARTH), 10)
         path = tmp_path / "temporal.npz"
-        save_block(block, path)
-        loaded = load_block(path)
+        save(block, path)
+        loaded = load(path)
         assert loaded.aggregates.schema.spec("ts").kind is ColumnKind.TEMPORAL

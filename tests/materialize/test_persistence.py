@@ -70,7 +70,7 @@ class TestRoundTrip:
         assert count_served.stats.mv_cached == 1
         assert count_served.count == want.count
 
-    def test_pinned_and_hits_survive(self, tmp_path):
+    def test_name_and_hits_survive(self, tmp_path):
         dataset = build_dataset()
         dataset.materialize(request(), name="hot")
         dataset.query(request())
@@ -79,7 +79,6 @@ class TestRoundTrip:
         dataset.save(path)
         view = Dataset.open(path).materialized.views()[0]
         assert view.name == "hot"
-        assert view.pinned
         assert view.hits == 2
 
     def test_refresh_still_exact_after_reopen(self, kind, tmp_path):
@@ -141,6 +140,39 @@ class TestSidecarGuards:
         save(other.handle, path)
         reopened = Dataset.open(path)
         assert len(reopened.materialized) == 0
+
+    def test_pre_1_8_sidecar_loads_pins_and_skips_auto_admitted(self, tmp_path):
+        """Sidecars written before 1.8 flag each entry ``pinned``: the
+        explicit pins load without a format bump, the auto-admitted
+        guesses (``false``) must not come back as permanent views, and
+        entries without the key (written from 1.8 on) load as ever."""
+        from repro.core.serialize import read_archive_meta, write_archive
+
+        other = Polygon([(-74.00, 40.70), (-73.90, 40.70), (-73.90, 40.78), (-74.00, 40.78)])
+        dataset = build_dataset()
+        dataset.materialize(request(), name="old-pin")
+        dataset.materialize(request(count_only=True, aggregates=()), name="old-auto")
+        dataset.materialize(QueryRequest(region=other, dataset="taxi", aggregates=AGGS), name="new")
+        want = dataset.query(request())
+        path = tmp_path / "taxi.npz"
+        dataset.save(path)
+        with np.load(sidecar_path(path)) as archive:
+            meta = read_archive_meta(archive)
+            arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        assert all("pinned" not in view for view in meta["views"])
+        by_name = {view["name"]: view for view in meta["views"]}
+        by_name["old-pin"]["pinned"] = True
+        by_name["old-auto"]["pinned"] = False
+        write_archive(sidecar_path(path), meta, arrays)
+
+        reopened = Dataset.open(path, name="taxi")
+        assert sorted(view.name for view in reopened.materialized.views()) == ["new", "old-pin"]
+        served = reopened.query(request())
+        assert served.stats.mv_cached == 1
+        assert served.count == want.count
+        for key, value in want.values.items():
+            assert np.float64(served.values[key]).tobytes() == np.float64(value).tobytes()
+        assert reopened.query(request(count_only=True, aggregates=())).stats.mv_cached == 0
 
     def test_missing_sidecar_is_fine(self, tmp_path):
         dataset = build_dataset()

@@ -1,6 +1,8 @@
-"""Admission-policy and store-bookkeeping unit tests."""
+"""Store bookkeeping and the explicit-admission contract."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from repro.api import Dataset, QueryRequest, TieredCache
 from repro.cells import EARTH
 from repro.engine.executor import QueryResult
 from repro.geometry import Polygon
-from repro.materialize import MaterializedStore, MaterializedView, QueryLog
+from repro.materialize import MaterializedStore, MaterializedView
 from repro.storage import PointTable, Schema, extract
 
 LEVEL = 14
@@ -28,12 +30,12 @@ def make_base(count=4000, seed=55):
     return extract(table, EARTH)
 
 
-def make_dataset(**kwargs):
+def make_dataset(kind="geoblock", **kwargs):
     kwargs.setdefault("cache", TieredCache())
-    return Dataset.build(make_base(), LEVEL, "geoblock", name="taxi", **kwargs)
+    return Dataset.build(make_base(), LEVEL, kind, name="taxi", **kwargs)
 
 
-def stub_view(name, key, pinned=False):
+def stub_view(name, key):
     from repro.cells.union import CellUnion
 
     return MaterializedView(
@@ -48,36 +50,13 @@ def stub_view(name, key, pinned=False):
         records=None,
         result=QueryResult(values={}, count=0),
         version=1,
-        pinned=pinned,
     )
 
 
-class TestQueryLog:
-    def test_threshold_crossing(self):
-        log = QueryLog(threshold=3)
-        assert log.observe("k") is False
-        assert log.observe("k") is False
-        assert log.observe("k") is True
-        # Admission retires the entry: the count restarts.
-        assert log.observe("k") is False
-
-    def test_capacity_evicts_least_recent(self):
-        log = QueryLog(capacity=2, threshold=3)
-        log.observe("a")
-        log.observe("b")
-        log.observe("c")  # evicts "a"
-        log.observe("a")
-        log.observe("a")
-        assert log.observe("a") is True  # re-observed from scratch: 3 needed
-
-    def test_forget(self):
-        log = QueryLog(threshold=2)
-        log.observe("k")
-        log.forget("k")
-        assert log.observe("k") is False
-
-
 class TestStoreBookkeeping:
+    def test_store_takes_no_arguments(self):
+        assert list(inspect.signature(MaterializedStore).parameters) == []
+
     def test_duplicate_key_and_name_raise(self):
         store = MaterializedStore()
         store.admit(stub_view("a", key=("k",)))
@@ -85,16 +64,6 @@ class TestStoreBookkeeping:
             store.admit(stub_view("b", key=("k",)))
         with pytest.raises(KeyError):
             store.admit(stub_view("a", key=("other",)))
-
-    def test_eviction_skips_pinned(self):
-        store = MaterializedStore(max_views=2)
-        store.admit(stub_view("pinned", key=("p",), pinned=True))
-        store.admit(stub_view("a", key=("a",)))
-        store.admit(stub_view("b", key=("b",)))  # over bound: "a" evicts
-        assert store.lookup(("p",)) is not None
-        assert store.lookup(("a",)) is None
-        assert store.lookup(("b",)) is not None
-        assert store.evictions == 1
 
     def test_drop_and_clear(self):
         store = MaterializedStore()
@@ -107,32 +76,74 @@ class TestStoreBookkeeping:
 
     def test_stats_shape(self):
         store = MaterializedStore()
-        store.admit(stub_view("a", key=("a",), pinned=True))
+        store.admit(stub_view("a", key=("a",)))
         stats = store.stats()
         assert stats["views"] == 1
-        assert stats["pinned"] == 1
         assert stats["admissions"] == 1
         assert stats["bytes"] > 0
 
 
-class TestAutoAdmission:
+def distinct_requests(count):
+    """``count`` requests with pairwise distinct regions."""
+    return [
+        QueryRequest(
+            region=Polygon(
+                [
+                    (-74.00 + 0.002 * index, 40.70),
+                    (-73.95 + 0.002 * index, 40.70),
+                    (-73.95 + 0.002 * index, 40.76),
+                    (-74.00 + 0.002 * index, 40.76),
+                ]
+            ),
+            dataset="taxi",
+            aggregates=("count", "sum:fare"),
+        )
+        for index in range(count)
+    ]
+
+
+class TestExplicitAdmissionOnly:
     def request(self):
         return QueryRequest(
             region=REGION, dataset="taxi", aggregates=("count", "sum:fare")
         )
 
-    def test_third_observation_admits(self):
-        dataset = make_dataset()
-        for _ in range(2):
-            response = dataset.query(self.request())
-            assert response.stats.mv_cached == 0
-        dataset.query(self.request())  # third observation: admitted
-        served = dataset.query(self.request())
-        assert served.stats.mv_cached == 1
-        # The MV hit still probes (and counts on) the result tier.
-        assert served.stats.result_cached == 1
-        assert dataset.materialized.stats()["admissions"] == 1
-        assert not dataset.materialized.views()[0].pinned
+    @pytest.mark.parametrize("kind", ["geoblock", "sharded", "adaptive"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_repetition_never_creates_a_view(self, kind, batched):
+        dataset = make_dataset(kind)
+        requests = distinct_requests(40)
+        for repeat in range(4):
+            if batched:
+                responses = dataset.run_batch(requests)
+            else:
+                responses = [dataset.query(request) for request in requests]
+            for response in responses:
+                assert response.stats.mv_cached == 0
+                assert response.stats.result_cached == int(repeat > 0)
+        assert len(dataset.materialized) == 0
+        assert dataset.mv_stats()["admissions"] == 0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_mv_hit_leaves_the_result_tier_alone(self, batched):
+        cache = TieredCache()
+        dataset = make_dataset(cache=cache)
+        dataset.materialize(self.request(), name="hot")
+
+        def serve():
+            before = (cache.results.hits, cache.results.misses)
+            if batched:
+                (response,) = dataset.run_batch([self.request()])
+            else:
+                response = dataset.query(self.request())
+            assert response.stats.mv_cached == 1
+            assert response.stats.result_cached == 0
+            assert (cache.results.hits, cache.results.misses) == before
+
+        serve()
+        dataset.append([{"x": -73.95, "y": 40.75, "fare": 9.0, "distance": 1.0}])
+        serve()
+        assert dataset.mv_stats()["admissions"] == 1
 
     def test_cache_off_dataset_never_admits(self):
         dataset = make_dataset(result_cache=False)
@@ -140,14 +151,14 @@ class TestAutoAdmission:
             assert dataset.query(self.request()).stats.mv_cached == 0
         assert len(dataset.materialized) == 0
 
-    def test_batch_members_serve_but_do_not_feed_admission(self):
+    def test_batch_members_serve_from_views(self):
         dataset = make_dataset()
         for _ in range(5):
             dataset.run_batch([self.request()])
-        assert len(dataset.materialized) == 0  # batches never admit
+        assert len(dataset.materialized) == 0
         dataset.materialize(self.request(), name="hot")
         responses = dataset.run_batch([self.request()])
-        assert responses[0].stats.mv_cached == 1  # but they do serve
+        assert responses[0].stats.mv_cached == 1
 
     def test_explicit_invalidate_clears_views(self):
         dataset = make_dataset()

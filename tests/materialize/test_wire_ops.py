@@ -57,7 +57,6 @@ class TestMaterializeOp:
         assert envelope["ok"]
         assert envelope["data"]["name"] == "hot-soho"
         assert envelope["data"]["kind"] == "materialized"
-        assert envelope["data"]["pinned"] is True
         answer = service.run_dict(wire())
         assert answer["stats"]["mv"]["cached"] == 1
 
@@ -196,7 +195,6 @@ class TestFluentTerminal:
         )
         info = dataset.over(REGION).agg("count", "avg:fare").materialize("hot")
         assert info["name"] == "hot"
-        assert info["pinned"] is True
         served = dataset.over(REGION).agg("count", "avg:fare").run()
         assert served.stats.mv_cached == 1
 
@@ -222,7 +220,6 @@ class TestServiceStats:
         service.run_dict(wire())
         stats = service.stats()
         assert stats["mv"]["views"] == 1
-        assert stats["mv"]["pinned"] == 1
         assert stats["mv"]["admissions"] == 1
         assert stats["mv"]["hits"] == 2
         assert stats["mv"]["incremental_refreshes"] + stats["mv"]["full_refreshes"] >= 1

@@ -29,7 +29,6 @@ class TestMaterializeRoute:
         assert reply.ok
         assert reply.x_cache == "bypass"
         assert reply.body["data"]["name"] == "hot"
-        assert reply.body["data"]["pinned"] is True
         served = client.query(wire_query())
         assert served.body["stats"]["mv"]["cached"] == 1
         assert answer(served.body) == answer(service.run_dict(wire_query()))
@@ -70,7 +69,6 @@ class TestViewsRoute:
         data = reply.body["data"]
         assert data["dataset"] == "small"
         assert [view["name"] for view in data["materialized"]] == ["hot"]
-        assert data["materialized"][0]["pinned"] is True
 
     def test_sole_dataset_needs_no_param(self, client):
         reply = client.request("GET", "/views")
@@ -88,7 +86,6 @@ class TestViewsRoute:
         client.query(wire_query())
         stats = client.stats().body
         assert stats["mv"]["views"] == 1
-        assert stats["mv"]["pinned"] == 1
         assert stats["mv"]["hits"] == 1
         assert stats["datasets"]["small"]["materialized"] == 1
 
