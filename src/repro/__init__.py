@@ -112,7 +112,7 @@ from repro.storage import (
     extract,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "EARTH",

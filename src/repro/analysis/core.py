@@ -147,6 +147,14 @@ RULES: tuple[Rule, ...] = (
         "entry is dead configuration.",
     ),
     Rule(
+        "WS006",
+        "hint-readme-drift",
+        "HINT_KEYS and the README's documented hints disagree",
+        "Unknown hints are rejected with bad_hint, so a hint the README "
+        "documents but the parser dropped breaks every client that "
+        "follows the docs, and an undocumented one is invisible.",
+    ),
+    Rule(
         "BB001",
         "scenario-without-baseline",
         "registered bench scenario has no checked-in BENCH_*.json",

@@ -16,7 +16,9 @@ cross-references all four on every run:
 * ``WS004`` -- a management-op key schema (the ``_*_KEYS`` tuples)
   missing the envelope keys, or checking an op that is not dispatched;
 * ``WS005`` -- ``ERROR_CODES`` vs ``HTTP_STATUS`` drift, both
-  directions.
+  directions;
+* ``WS006`` -- ``HINT_KEYS`` (``api/request.py``) vs the hint names the
+  README's hints paragraph documents, both directions.
 
 Everything is extracted statically (AST for the modules, regex over the
 README), so the checker also works against a modified copy of any one
@@ -50,6 +52,9 @@ ENVELOPE_KEYS = ("v", "op", "dataset")
 
 _README_OP = re.compile(r"\"op\"\s*:\s*\"(\w+)\"")
 _README_ROUTE = re.compile(r"\b(GET|POST)\s+(/[a-z_]+)")
+#: A documented hint: a bold code span (``**`cache`**``) inside the
+#: README paragraph that opens with the word "Hints".
+_README_HINT = re.compile(r"\*\*`(\w+)`\*\*")
 
 
 @dataclass
@@ -131,13 +136,16 @@ def http_routes(http: SourceFile) -> dict[tuple[str, str], int]:
 
 
 def key_schemas(service: SourceFile) -> dict[str, tuple[int, tuple[str, ...]]]:
-    """Class-level ``_*_KEYS`` tuples: name -> (line, keys)."""
+    """``_*_KEYS`` tuples (and ``HINT_KEYS``): name -> (line, keys)."""
     schemas: dict[str, tuple[int, tuple[str, ...]]] = {}
     for node in ast.walk(service.tree):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
-        if not (isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z_]+_KEYS", target.id)):
+        if not (
+            isinstance(target, ast.Name)
+            and re.fullmatch(r"_[A-Z_]+_KEYS|HINT_KEYS", target.id)
+        ):
             continue
         if isinstance(node.value, (ast.Tuple, ast.List)):
             keys = tuple(
@@ -207,6 +215,19 @@ def error_tables(errors: SourceFile) -> tuple[dict[str, int], dict[str, int], in
                 if code is not None:
                     statuses[code] = key.lineno  # type: ignore[union-attr]
     return codes, statuses, codes_line, statuses_line
+
+
+def readme_hints(text: str) -> dict[str, int]:
+    """Hint names the README's hints paragraph documents (name ->
+    line): the bold code spans of the paragraph opening with "Hints"."""
+    hints: dict[str, int] = {}
+    inside = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        inside = bool(line.strip()) and (inside or line.startswith("Hints "))
+        if inside:
+            for match in _README_HINT.finditer(line):
+                hints.setdefault(match.group(1), number)
+    return hints
 
 
 def readme_ops(text: str) -> dict[str, int]:
@@ -386,6 +407,34 @@ def check_files(files: WireFiles) -> list[Finding]:
                     line if line else statuses_line,
                     1,
                     f"HTTP_STATUS maps {code!r}, which is not in ERROR_CODES",
+                )
+            )
+
+    # WS006: hint names vs the README's hints paragraph, both directions.
+    hints_line, hints = request_schemas.get("HINT_KEYS", (1, ()))
+    documented_hints = readme_hints(files.readme_text)
+    for hint in hints:
+        if hint not in documented_hints:
+            findings.append(
+                Finding(
+                    "WS006",
+                    files.request.relative,
+                    hints_line,
+                    1,
+                    f"hint {hint!r} is in HINT_KEYS but the README's hints "
+                    "paragraph never documents it",
+                )
+            )
+    for hint, line in sorted(documented_hints.items()):
+        if hint not in hints:
+            findings.append(
+                Finding(
+                    "WS006",
+                    files.readme_path,
+                    line,
+                    1,
+                    f"README's hints paragraph documents {hint!r}, which is "
+                    "not in HINT_KEYS (requests carrying it get bad_hint)",
                 )
             )
 

@@ -20,7 +20,7 @@ Query v2 adds three serving surfaces on top:
 * **multi-region group-by** (requests with ``group_by``): every feature
   of a FeatureCollection answers in one grouped engine pass
   (:meth:`~repro.core.geoblock.GeoBlock.run_grouped` -- shared binary
-  searches, record dedup, covering-cache reuse) plus a combined rollup;
+  searches, range dedup, covering-cache reuse) plus a combined rollup;
 * **appends** (:meth:`Dataset.append`): new rows fold into the block in
   place through :mod:`repro.core.updates` (trie refresh on adaptive,
   dirty-shard bookkeeping on sharded), bump the dataset's
@@ -28,11 +28,9 @@ Query v2 adds three serving surfaces on top:
   response -- and propagate to cached views whose predicate matches.
 
 Execution hints map onto the engine seam without touching shared
-state: ``mode`` threads through the blocks' per-call ``mode`` override
-(never mutating ``query_mode``, so concurrent requests cannot observe
-each other's hints), ``cache: false`` routes an adaptive dataset
-through its wrapped base block (no trie probes, no statistics
-recorded), and ``count_only`` takes the Listing 2 fast path.
+state: ``cache: false`` routes an adaptive dataset through its wrapped
+base block (no trie probes, no statistics recorded), and ``count_only``
+takes the Listing 2 fast path.
 
 Every single-region query is answered by exactly one tier, chosen in
 :meth:`Dataset._probe_tiers`: a materialized view pinned for it, else
@@ -529,19 +527,13 @@ class Dataset:
                 "cannot materialize a grouped query; pin each feature's "
                 "region as its own view",
             )
-        if not request.count_only and (request.mode or self.block.query_mode) == "scalar":
-            raise ApiError(
-                UNSUPPORTED_OP,
-                "the scalar execution model cannot be materialized: it has no "
-                "bit-identity gate against the vector fold an MV refresh "
-                "re-runs; use the kernel or vector mode",
-            )
         key = self._mv_key(request)
         if key is None:
             raise ApiError(
                 UNSUPPORTED_OP,
                 "cannot materialize this request: the target has no stable "
-                "region fingerprint",
+                "region fingerprint, or the block runs the scalar model "
+                "(no bit-identity gate against the re-fold an MV refresh runs)",
             )
         result_key = self._result_key(request)
         result = self._scope.probe(result_key)
@@ -808,25 +800,22 @@ class Dataset:
         object writes actually mutate, so an append through any other
         wrapper of the same block (another ``Dataset`` over the same
         handle, a direct ``core.updates`` call) invalidates this
-        facade's entries too.  Mode, trie hint, and the count-only flag
+        facade's entries too.  The trie hint and the count-only flag
         are key components because each pins a distinct float-fold (or
-        count) sequence; a cached answer is byte-identical only under
-        the same model.
+        count) sequence; a cached answer is byte-identical only along
+        the same path.
         """
         if request.grouped:
             return None
         data_version = self.block.aggregates.data_version
         if request.count_only:
-            # The Listing 2 path ignores mode and bypasses the trie.
-            return self._scope.key(
-                request.target, data_version, "count_only", None, False, True
-            )
+            # The Listing 2 path bypasses the trie.
+            return self._scope.key(request.target, data_version, "count_only", False, True)
         trie = request.cache and isinstance(self._handle, AdaptiveGeoBlock)
         return self._scope.key(
             request.target,
             data_version,
             aggregate_key(request.aggregates),
-            request.mode or self.block.query_mode,
             trie,
             False,
         )
@@ -901,19 +890,19 @@ class Dataset:
     def _mv_key(self, request: QueryRequest) -> tuple | None:
         """The materialized-view store key of a request, or ``None``
         when the MV tier cannot serve it: grouped requests (per-feature
-        answers), geometry-free targets, and the scalar execution model
-        (the one model with no bit-identity gate against the vector
-        fold an MV refresh re-runs)."""
+        answers), geometry-free targets, and value queries on a block
+        the experiment harness switched to the scalar model (the one
+        model with no bit-identity gate against the re-fold an MV
+        refresh runs)."""
         if request.grouped:
             return None
         try:
             if request.count_only:
-                return make_mv_key(request.target, (), None, False, True)
-            mode = request.mode or self.block.query_mode
-            if mode == "scalar":
+                return make_mv_key(request.target, (), False, True)
+            if self.block.query_mode == "scalar":
                 return None
             trie = request.cache and isinstance(self._handle, AdaptiveGeoBlock)
-            return make_mv_key(request.target, request.aggregates, mode, trie, False)
+            return make_mv_key(request.target, request.aggregates, trie, False)
         except TypeError:
             return None
 
@@ -932,7 +921,7 @@ class Dataset:
                 covering_cached=plan.from_cache,
             )
         handle = self._execution_handle(request)
-        return handle.select(request.target, list(request.aggregates), mode=request.mode)
+        return handle.select(request.target, list(request.aggregates))
 
     def _admit_view(
         self,
@@ -943,8 +932,7 @@ class Dataset:
     ) -> MaterializedView:
         """Build and install the MV serving ``request``: the unpruned
         covering (append-invariant geometry) plus one aggregate record
-        per covering cell (the vector model's materialisation, fanned
-        out per shard), with ``result`` as the current answer."""
+        per covering cell, with ``result`` as the current answer."""
         block = self.block
         covering = block.planner.covering(request.target)
         records = None if request.count_only else build_records(block, covering)
@@ -952,7 +940,6 @@ class Dataset:
             name=name if name is not None else self._mv.auto_name(),
             region=request.target,
             aggs=() if request.count_only else request.aggregates,
-            mode=None if request.count_only else (request.mode or block.query_mode),
             trie_hint=bool(
                 not request.count_only
                 and request.cache
@@ -1012,7 +999,7 @@ class Dataset:
     def _execute_grouped(self, request: QueryRequest) -> QueryResponse:
         """Answer every feature in one grouped engine pass plus the
         combined rollup (bit-identical per feature to answering each
-        region alone -- shared binary searches and record dedup are
+        region alone -- shared binary searches and range dedup are
         value-preserving by construction)."""
         features = request.feature_targets
         names = [name for name, _ in features]
@@ -1033,9 +1020,7 @@ class Dataset:
             shards_total = shards_pruned = 0
         else:
             handle = self._execution_handle(request)
-            results, rollup = handle.run_grouped(
-                targets, list(request.aggregates), mode=request.mode
-            )
+            results, rollup = handle.run_grouped(targets, list(request.aggregates))
             groups = tuple(
                 GroupRow(name, result.values, result.count)
                 for name, result in zip(names, results)
@@ -1084,9 +1069,9 @@ class Dataset:
     def run_batch(self, requests: Sequence) -> list[QueryResponse]:
         """Answer many requests in one engine pass.
 
-        Requests sharing the same execution hints are grouped into one
+        Requests sharing the same ``cache`` hint are grouped into one
         ``run_batch`` call on the block (the engine's shared binary
-        searches and record dedup); ``count_only`` requests take the
+        searches and range dedup); ``count_only`` requests take the
         Listing 2 path individually, which is already a two-probe
         operation per covering cell.  Responses come back in input
         order, identical to answering each request alone.
@@ -1099,15 +1084,14 @@ class Dataset:
         for request in parsed:
             self._validate(request)
         responses: list[QueryResponse | None] = [None] * len(parsed)
-        # Group indices by execution hints; order within a group is
-        # input order.  The cache hint only changes execution on
-        # adaptive handles -- folding it into the key elsewhere would
-        # needlessly split one engine pass into several.  Members that
-        # are themselves multi-part (grouped requests, filtered views,
-        # count_only) run through ``query`` -- each is already its own
-        # engine pass.
+        # Group indices by the cache hint; order within a group is
+        # input order.  The hint only changes execution on adaptive
+        # handles -- grouping by it elsewhere would needlessly split
+        # one engine pass into several.  Members that are themselves
+        # multi-part (grouped requests, filtered views, count_only) run
+        # through ``query`` -- each is already its own engine pass.
         cache_matters = isinstance(self._handle, AdaptiveGeoBlock)
-        groups: dict[tuple[str | None, bool], list[int]] = {}
+        groups: dict[bool, list[int]] = {}
         fill_keys: dict[int, tuple | None] = {}
         for index, request in enumerate(parsed):
             if request.count_only or request.grouped or request.where is not None:
@@ -1121,16 +1105,15 @@ class Dataset:
                 responses[index] = response
                 continue
             fill_keys[index] = key
-            cache_key = request.cache if cache_matters else True
-            groups.setdefault((request.mode, cache_key), []).append(index)
-        for (mode, _cache), indices in groups.items():
+            groups.setdefault(request.cache if cache_matters else True, []).append(index)
+        for indices in groups.values():
             handle = self._execution_handle(parsed[indices[0]])
             queries = [
                 Query(region=parsed[index].target, aggs=parsed[index].aggregates)
                 for index in indices
             ]
             start = perf_counter()
-            results = handle.run_batch(queries, mode=mode)
+            results = handle.run_batch(queries)
             latency_ms = (perf_counter() - start) * 1e3
             for index, result in zip(indices, results):
                 responses[index] = self._engine_response(fill_keys[index], result, latency_ms)

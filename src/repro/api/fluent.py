@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class QueryBuilder:
     """An immutable, chainable query under construction."""
 
-    __slots__ = ("_dataset", "_region", "_features", "_aggregates", "_mode", "_cache", "_where")
+    __slots__ = ("_dataset", "_region", "_features", "_aggregates", "_cache", "_where")
 
     def __init__(
         self,
@@ -48,7 +48,6 @@ class QueryBuilder:
         region,  # noqa: ANN001 - region payload (object, GeoJSON dict, bbox) or None
         features=None,  # noqa: ANN001 - FeatureCollection / named regions or None
         aggregates: tuple["AggSpec", ...] = (),
-        mode: str | None = None,
         cache: bool = True,
         where=None,  # noqa: ANN001 - Predicate or wire dict or None
     ) -> None:
@@ -56,7 +55,6 @@ class QueryBuilder:
         self._region = parse_region(region) if region is not None else None
         self._features = parse_features(features) if features is not None else None
         self._aggregates = aggregates
-        self._mode = mode
         self._cache = cache
         self._where = parse_where(where) if where is not None else None
 
@@ -64,7 +62,6 @@ class QueryBuilder:
         state = {
             "features": self._features,
             "aggregates": self._aggregates,
-            "mode": self._mode,
             "cache": self._cache,
             "where": self._where,
         }
@@ -76,11 +73,6 @@ class QueryBuilder:
     def agg(self, *specs) -> "QueryBuilder":  # noqa: ANN002 - spec strings/AggSpecs
         """Append output aggregates (``"sum:fare"`` strings or AggSpecs)."""
         return self._derive(aggregates=self._aggregates + parse_aggs(list(specs)))
-
-    def mode(self, mode: str) -> "QueryBuilder":
-        """Pin the execution model ("kernel", "vector" or "scalar")
-        for this query."""
-        return self._derive(mode=mode)
 
     def cache(self, enabled: bool = True) -> "QueryBuilder":
         """Allow (default) or forbid answering from the query cache."""
@@ -107,7 +99,6 @@ class QueryBuilder:
             region=self._region,
             aggregates=self._aggregates or DEFAULT_AGGREGATES,
             dataset=self._dataset.name,
-            mode=self._mode,
             cache=self._cache,
             where=self._where,
             group_by=self._features,
@@ -122,7 +113,6 @@ class QueryBuilder:
         request = QueryRequest(
             region=self._region,
             dataset=self._dataset.name,
-            mode=self._mode,
             cache=self._cache,
             count_only=True,
             where=self._where,
@@ -169,6 +159,6 @@ class QueryBuilder:
         )
         return (
             f"QueryBuilder(dataset={self._dataset.name!r}, {shape}, "
-            f"aggs={[spec.key for spec in self._aggregates]}, mode={self._mode!r}, "
+            f"aggs={[spec.key for spec in self._aggregates]}, "
             f"where={self._where!r})"
         )

@@ -19,7 +19,6 @@ Query v2 wire shape::
       "where": {"col": "distance", "op": ">=", "value": 4},
       "aggregates": ["count", "sum:fare"],    # compact spec strings
       "hints": {                              # optional, defaults below
-        "mode": "kernel" | "vector" | "scalar",  # executor: execution model
         "cache": true,                        # planner: probe the trie
         "count_only": false                   # executor: Listing 2 path
       }
@@ -39,8 +38,8 @@ up-converted; the wire entry points of :mod:`repro.api.service` emit a
 
 Hints split cleanly across the engine seam: ``cache`` is consumed by
 the *planner* (whether plans carry AggregateTrie probe decisions),
-while ``mode`` and ``count_only`` are consumed by the *executor* (which
-fold loop carries the plan out).  Every response embeds
+while ``count_only`` is consumed by the *executor* (the Listing 2 count
+in place of the value fold).  Every response embeds
 :class:`QueryStats` -- cells probed, cache hits, covering-cache reuse,
 latency -- so serving dashboards get observability without a side
 channel.
@@ -73,12 +72,9 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.storage.expr import Predicate, predicate_from_wire, predicate_to_wire
 
-#: Execution models a request may pin (None = the dataset's default).
-MODES = ("kernel", "vector", "scalar")
-
 #: Hint names understood by :class:`QueryRequest` (anything else is a
 #: client error -- silently ignoring typos would mask wrong results).
-HINT_KEYS = ("mode", "cache", "count_only")
+HINT_KEYS = ("cache", "count_only")
 
 #: The envelope version this module speaks (and emits).
 WIRE_VERSION = 2
@@ -260,8 +256,6 @@ class QueryRequest:
     region: Polygon | MultiPolygon | BoundingBox | None = None
     aggregates: tuple[AggSpec, ...] = DEFAULT_AGGREGATES
     dataset: str | None = None
-    #: Execution model override ("vector"/"scalar"); None = dataset default.
-    mode: str | None = None
     #: Whether the planner may answer covering cells from the query cache.
     cache: bool = True
     #: COUNT-only fast path (Listing 2); ``aggregates`` are ignored.
@@ -285,10 +279,6 @@ class QueryRequest:
         object.__setattr__(self, "aggregates", parse_aggs(self.aggregates))
         if self.where is not None:
             object.__setattr__(self, "where", parse_where(self.where))
-        if self.mode is not None and self.mode not in MODES:
-            raise ApiError(
-                BAD_HINT, f"unknown execution mode {self.mode!r}; use one of {MODES}"
-            )
         if not isinstance(self.cache, bool):
             raise ApiError(BAD_HINT, "'cache' hint must be a boolean")
         if not isinstance(self.count_only, bool):
@@ -341,8 +331,6 @@ class QueryRequest:
     def hints(self) -> dict:
         """Non-default execution hints (the wire ``hints`` object)."""
         hints: dict = {}
-        if self.mode is not None:
-            hints["mode"] = self.mode
         if not self.cache:
             hints["cache"] = False
         if self.count_only:
@@ -442,7 +430,6 @@ class QueryRequest:
             region=parse_region(payload["region"]) if "region" in payload else None,
             aggregates=parse_aggs(payload.get("aggregates", DEFAULT_AGGREGATES)),
             dataset=dataset,
-            mode=hints.get("mode"),
             cache=hints.get("cache", True),
             count_only=hints.get("count_only", False),
             where=parse_where(payload["where"]) if "where" in payload else None,

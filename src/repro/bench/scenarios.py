@@ -8,12 +8,10 @@ Importing this module populates the registry with:
   ``artifacts``;
 * ``engine`` group -- raw-engine paths over the NYC workload:
   sequential ``select`` and batched ``run_batch`` on plain, sharded,
-  and adaptive blocks, the ``engine_batch_parity`` gate asserting the
-  batched/sharded/api paths return the sequential answers (and that
-  the kernel model matches the vector oracle bit for bit), plus the
-  ``engine_select_kernel`` / ``engine_batch_kernel`` twins timing the
-  kernel execution model against the vector model on pre-planned
-  queries and gating both parity and speedup;
+  and adaptive blocks, plus the ``engine_batch_parity`` gate asserting
+  the batched/sharded/api paths return the sequential answers (and
+  that the kernel model matches its per-cell reference fold,
+  ``Executor.select_reference``, bit for bit);
 * ``serving`` group -- the same workload through :mod:`repro.api`
   (``GeoService.run`` per request, and ``GeoService.run_batch``) on all
   three block kinds.
@@ -35,6 +33,7 @@ from repro.core.adaptive import AdaptiveGeoBlock
 from repro.core.geoblock import GeoBlock
 from repro.core.policy import CachePolicy
 from repro.data.polygons import nyc_neighborhoods
+from repro.engine.executor import batch_items
 from repro.experiments import fig13_scalability
 from repro.experiments.common import (
     ExperimentResult,
@@ -315,39 +314,26 @@ def _parity_build(scale: Scale) -> Prepared:
         batch_seconds, batch_results = run_workload_batched(plain, workload)
         sharded_seconds, sharded_results = run_workload_batched(sharded, workload)
         api_seconds, api_results = run_workload_api(dataset, workload)
-        identical = len(batch_results) == len(seq_results)
-        for want, got in zip(seq_results, batch_results):
-            if got.count != want.count:
-                identical = False
-            for key, value in want.values.items():
-                if value == value and got.values[key] != value:
-                    identical = False
+        # The runs above all execute under the kernel model; one
+        # sequential pass of its reference closes the loop, so the gate
+        # also proves the kernels are bit-identical to the per-cell
+        # ``Accumulator`` fold they restructure.
+        reference_results = [
+            plain.executor.select_reference(plain.plan(target), aggs)
+            for target, aggs in batch_items(list(workload))
+        ]
         # Sharded execution is bit-identical too (boundary-spanning
-        # ranges materialise over the full shared arrays), so values
-        # are compared exactly, same as the plain batched path.
-        for want, got in zip(seq_results, sharded_results):
-            if got.count != want.count:
-                identical = False
-            for key, value in want.values.items():
-                if value == value and got.values[key] != value:
-                    identical = False
-        for want, got in zip(batch_results, api_results):
-            if got.count != want.count:
-                identical = False
-            for key, value in want.values.items():
-                if value == value and got.values[key] != value:
-                    identical = False
-        # The runs above all execute under the production default
-        # (kernel); one explicit vector pass closes the loop against
-        # the parity oracle, so the gate also proves the kernel model
-        # is bit-identical to the vector fold it restructures.
-        vector_results = plain.run_batch(list(workload), mode="vector")
-        for want, got in zip(vector_results, batch_results):
-            if got.count != want.count:
-                identical = False
-            for key, value in want.values.items():
-                if value == value and got.values[key] != value:
-                    identical = False
+        # ranges reduce over the full shared arrays), so values are
+        # compared exactly, same as the plain batched path.
+        identical = all(
+            _bit_identical_results(want, got)
+            for want, got in (
+                (seq_results, batch_results),
+                (seq_results, sharded_results),
+                (batch_results, api_results),
+                (reference_results, batch_results),
+            )
+        )
         return {
             "seq_s": seq_seconds,
             "batch_s": batch_seconds,
@@ -373,117 +359,6 @@ def _parity_build(scale: Scale) -> Prepared:
         }
 
     return Prepared(thunk, finalize)
-
-
-# -- kernel-vs-vector execution scenarios -------------------------------------------
-
-
-def _kernel_speedup_build(batched: bool) -> Callable[[Scale], Prepared]:
-    """Time the kernel execution model against the vector oracle.
-
-    Planning is identical code for every execution model, so the
-    workload is planned once in ``build`` and the thunk times pure
-    execution (``Executor.run_batch`` or per-plan ``select``) per mode
-    over the same plans -- the apples-to-apples comparison of the two
-    models.  The cold path is measured: a plain block, no trie and no
-    result cache, every answer computed from the aggregate rows.  Each
-    mode is sampled a few times inside the thunk and the median kept,
-    so the ``speedup`` bound gates on a stable ratio rather than a
-    single pass.
-    """
-
-    def build(scale: Scale) -> Prepared:
-        from time import perf_counter
-
-        from repro.engine.executor import batch_items
-
-        block = _block(scale, "plain")
-        workload = _workload(scale)
-        pairs = batch_items(list(workload), None)
-        items = [
-            (block.planner.plan(target, header=block.header), aggs)
-            for target, aggs in pairs
-        ]
-        executor = block.executor
-
-        def run(mode: str):  # noqa: ANN202 - list[QueryResult]
-            if batched:
-                return executor.run_batch(items, mode=mode)
-            return [executor.select(plan, aggs, mode=mode) for plan, aggs in items]
-
-        def timed(mode: str, rounds: int = 5):  # noqa: ANN202
-            times = []
-            results = None
-            for _ in range(rounds):
-                start = perf_counter()
-                results = run(mode)
-                times.append(perf_counter() - start)
-            return sorted(times)[len(times) // 2], results
-
-        def thunk() -> dict:
-            kernel_seconds, kernel_results = timed("kernel")
-            vector_seconds, vector_results = timed("vector")
-            identical = len(kernel_results) == len(vector_results)
-            for want, got in zip(vector_results, kernel_results):
-                if got.count != want.count:
-                    identical = False
-                for key, value in want.values.items():
-                    if value == value and got.values[key] != value:
-                        identical = False
-            return {
-                "kernel_s": kernel_seconds,
-                "vector_s": vector_seconds,
-                "identical": identical,
-                "total_count": float(sum(result.count for result in kernel_results)),
-            }
-
-        def finalize(last: dict) -> dict:
-            return {
-                "metrics": {
-                    "queries": float(len(workload)),
-                    "total_count": last["total_count"],
-                    "kernel_s": last["kernel_s"],
-                    "vector_s": last["vector_s"],
-                    "speedup": last["vector_s"] / max(last["kernel_s"], 1e-12),
-                    "identical": 1.0 if last["identical"] else 0.0,
-                }
-            }
-
-        return Prepared(thunk, finalize)
-
-    return build
-
-
-for _batched, _kernel_name, _kernel_desc, _floor in (
-    (
-        False,
-        "engine_select_kernel",
-        "kernel vs vector execution of pre-planned sequential selects; "
-        "asserts bit-identical answers and no regression",
-        1.0,
-    ),
-    (
-        True,
-        "engine_batch_kernel",
-        "kernel vs vector execution of one pre-planned cold batch; "
-        "asserts bit-identical answers and a >= 3x kernel speedup",
-        3.0,
-    ),
-):
-    register(
-        Scenario(
-            name=_kernel_name,
-            group="engine",
-            description=_kernel_desc,
-            build=_kernel_speedup_build(_batched),
-            repeats=1,
-            warmup=1,
-            warn_ratio=2.5,
-            fail_ratio=5.0,
-            strict_metrics=("queries", "total_count", "identical"),
-            metric_bounds={"identical": (1.0, 1.0), "speedup": (_floor, None)},
-        )
-    )
 
 
 # -- Query v2 serving scenarios -----------------------------------------------------
@@ -1081,8 +956,8 @@ register(
         group="engine",
         description=(
             "sequential vs batched vs sharded vs serving execution of the same "
-            "workload; asserts identical answers (kernel matching the vector "
-            "oracle included) and a batched speedup"
+            "workload; asserts identical answers (kernel matching its per-cell "
+            "reference fold included) and a batched speedup"
         ),
         build=_parity_build,
         repeats=1,

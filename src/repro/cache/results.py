@@ -6,7 +6,7 @@ holds on the shared result tier.  It owns the key layout so every
 serving path builds identical keys::
 
     (dataset token, predicate key, version,
-     region fingerprint, aggregate key, mode, trie hint, count_only)
+     region fingerprint, aggregate key, trie hint, count_only)
 
 * the **dataset token** is a process-unique integer allocated per root
   dataset (views share their root's token); re-registering a name or
@@ -23,10 +23,10 @@ serving path builds identical keys::
   entry (the keys become unreachable and age out of the LRU).  It
   lives on the aggregates rather than the serving facade so that a
   write through *any* wrapper of the same block invalidates them all;
-* **mode / trie hint / count_only** pin the execution model, because
-  scalar and vector folds (and the Listing 2 count path) are distinct
-  float-rounding sequences: a cached answer is only byte-identical to
-  re-execution under the *same* model.
+* **trie hint / count_only** pin how the answer was folded, because
+  the trie-probing walk, the plain walk and the Listing 2 count path
+  are distinct float-rounding sequences: a cached answer is only
+  byte-identical to re-execution along the *same* path.
 
 The cached value is the exact :class:`~repro.engine.executor.QueryResult`
 the executor produced, so served answers are bit-identical to cold
@@ -100,7 +100,6 @@ class ResultCacheScope:
         target: object,
         version: int,
         agg_key: str,
-        mode: str | None,
         trie: bool,
         count_only: bool,
     ) -> tuple | None:
@@ -120,7 +119,6 @@ class ResultCacheScope:
             version,
             fingerprint,
             agg_key,
-            mode,
             trie,
             count_only,
         )

@@ -46,14 +46,13 @@ class AdaptiveGeoBlock:
 
     @property
     def query_mode(self) -> str:
-        """Execution model shared with the wrapped block ("kernel",
-        "vector" or "scalar"); see
-        :class:`~repro.core.geoblock.GeoBlock`."""
+        """Execution model shared with the wrapped block ("kernel" or
+        "scalar"); see :class:`~repro.core.geoblock.GeoBlock`."""
         return self._block.query_mode
 
     @query_mode.setter
-    def query_mode(self, mode: str) -> None:
-        self._block.query_mode = mode
+    def query_mode(self, model: str) -> None:
+        self._block.query_mode = model
 
     # -- delegation ------------------------------------------------------
 
@@ -125,17 +124,15 @@ class AdaptiveGeoBlock:
         self,
         target: QueryTarget,
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> QueryResult:
-        """Figure 8's adapted SELECT, through the shared engine.
-        ``mode`` overrides ``query_mode`` for this one call."""
+        """Figure 8's adapted SELECT, through the shared engine."""
         # Validate before recording: rejected queries must not feed the
         # adaptation statistics (they were never answered).
         if aggs is not None:
             self._block.executor.validate_aggs(list(aggs))
         plan = self.plan(target)
         self._statistics.record_covering(plan.union)
-        result = self._block.executor.select(plan, aggs, mode=mode or self.query_mode)
+        result = self._block.executor.select(plan, aggs)
         self._fold_counters(result)
         self._maybe_adapt(1)
         return result
@@ -144,7 +141,6 @@ class AdaptiveGeoBlock:
         self,
         queries: Sequence,  # noqa: ANN401 - Query objects or raw targets
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> list[QueryResult]:
         """Batched Figure 8 execution (see :meth:`GeoBlock.run_batch`).
 
@@ -161,7 +157,7 @@ class AdaptiveGeoBlock:
             plan = self.plan(target)
             self._statistics.record_covering(plan.union)
             items.append((plan, query_aggs))
-        results = self._block.executor.run_batch(items, mode=mode or self.query_mode)
+        results = self._block.executor.run_batch(items)
         for result in results:
             self._fold_counters(result)
         self._maybe_adapt(len(results))
@@ -171,7 +167,6 @@ class AdaptiveGeoBlock:
         self,
         targets: Sequence,  # noqa: ANN401 - regions / cell unions
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> tuple[list[QueryResult], QueryResult]:
         """Grouped Figure 8 execution (see :meth:`GeoBlock.run_grouped`).
 
@@ -188,9 +183,7 @@ class AdaptiveGeoBlock:
             plan = self.plan(target)
             self._statistics.record_covering(plan.union)
             items.append((plan, aggs))
-        results, rollup = self._block.executor.run_grouped(
-            items, mode=mode or self.query_mode
-        )
+        results, rollup = self._block.executor.run_grouped(items)
         for result in results:
             self._fold_counters(result)
         self._maybe_adapt(len(results))

@@ -16,7 +16,7 @@ pre-computed :class:`~repro.cells.union.CellUnion`.
 The canonical query path lives in :mod:`repro.engine`: every query is
 planned by :class:`~repro.engine.planner.Planner` (LRU-cached covering +
 header pruning) and carried out by
-:class:`~repro.engine.executor.Executor` (vectorised or scalar
+:class:`~repro.engine.executor.Executor` (kernel or scalar
 execution, batched workloads via :meth:`GeoBlock.run_batch`).  The
 methods below are thin façades over that engine; extend the engine, not
 this class, when adding query capabilities.
@@ -31,9 +31,9 @@ from repro.cells.space import CellSpace
 from repro.cells.union import CellUnion
 from repro.core.aggregates import Accumulator, AggSpec, CellAggregates
 from repro.core.header import GlobalHeader
-from repro.engine.executor import Executor, QueryResult, batch_items
+from repro.engine.executor import EXECUTION_MODES, Executor, QueryResult, batch_items
 from repro.engine.planner import Planner, QueryTarget
-from repro.errors import BuildError
+from repro.errors import BuildError, QueryError
 from repro.geometry.relate import Region
 from repro.storage.etl import PHASE_BUILDING, BaseData
 from repro.storage.expr import ALWAYS_TRUE, Predicate
@@ -64,19 +64,30 @@ class GeoBlock:
         self._header = GlobalHeader.from_aggregates(aggregates, level)
         self._planner = Planner(space, level)
         self._executor = self._make_executor()
-        #: Execution model for SELECT: "kernel" reduces whole queries
-        #: (and batches) through columnar numpy kernels (the production
-        #: default, bit-identical to "vector"); "vector" folds numpy
-        #: slice reductions cell by cell (the parity oracle); "scalar"
-        #: combines cell aggregates one by one, exactly like Listing 1.
-        #: The experiment harness runs every competitor in the scalar
-        #: model so per-item costs are comparable, as in the paper's
-        #: C++.
-        self.query_mode = "kernel"
+        self._query_mode = "kernel"
 
     def _make_executor(self) -> Executor:
         """Factory hook so sharded blocks can substitute their executor."""
         return Executor(self)
+
+    @property
+    def query_mode(self) -> str:
+        """Execution model for SELECT: "kernel" reduces whole queries
+        (and batches) through columnar numpy kernels and answers every
+        request; "scalar" combines cell aggregates one by one, exactly
+        like Listing 1.  Only the experiment harness sets it
+        (``experiments/common.make_scalar``): it runs every competitor
+        in the scalar model so per-item costs are comparable, as in the
+        paper's C++."""
+        return self._query_mode
+
+    @query_mode.setter
+    def query_mode(self, model: str) -> None:
+        if model not in EXECUTION_MODES:
+            raise QueryError(
+                f"unknown execution model {model!r}; use one of {EXECUTION_MODES}"
+            )
+        self._query_mode = model
 
     # -- construction ----------------------------------------------------
 
@@ -193,13 +204,10 @@ class GeoBlock:
         self,
         target: QueryTarget,
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> QueryResult:
         """Aggregate every attribute requested in ``aggs`` over the
-        covering of the query region.  ``mode`` overrides the block's
-        ``query_mode`` for this one call (serving-layer hints thread
-        through here instead of mutating shared state)."""
-        return self._executor.select(self.plan(target), aggs, mode=mode or self.query_mode)
+        covering of the query region."""
+        return self._executor.select(self.plan(target), aggs)
 
     def select_scalar(
         self,
@@ -211,7 +219,7 @@ class GeoBlock:
         is planned with the same batched binary searches every
         competitor uses.  ``select_listing1`` keeps the fully literal
         per-cell variant with the ``lastAgg`` successor hint."""
-        return self._executor.select(self.plan(target), aggs, mode="scalar")
+        return self._executor.select_scalar(self.plan(target), aggs)
 
     def select_listing1(
         self,
@@ -239,7 +247,6 @@ class GeoBlock:
         self,
         queries: Sequence,  # noqa: ANN401 - Query objects or raw targets
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> list[QueryResult]:
         """Answer a whole workload in one engine pass.
 
@@ -247,25 +254,23 @@ class GeoBlock:
         objects (each carrying its own aggregates) or raw targets
         (regions / cell unions) combined with the shared ``aggs``.
         Results are returned in input order and are identical to
-        issuing the queries sequentially under the block's
-        ``query_mode``; in vector mode overlapping coverings are
-        materialised only once, which is where batching wins on skewed
-        workloads.  Sharded blocks fan the materialisation out per
-        shard and stay bit-identical too (boundary-spanning ranges are
-        computed over the full shared arrays -- see
+        issuing the queries sequentially; overlapping coverings reduce
+        their shared ranges only once, which is where batching wins on
+        skewed workloads.  Sharded blocks fan the segment reductions
+        out per shard and stay bit-identical too (boundary-spanning
+        ranges are computed over the full shared arrays -- see
         :mod:`repro.engine.shards`).
         """
         items = [
             (self.plan(target), query_aggs)
             for target, query_aggs in batch_items(queries, aggs)
         ]
-        return self._executor.run_batch(items, mode=mode or self.query_mode)
+        return self._executor.run_batch(items)
 
     def run_grouped(
         self,
         targets: Sequence,  # noqa: ANN401 - regions / cell unions
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> tuple[list[QueryResult], QueryResult]:
         """Answer ``targets`` as one grouped batch plus a rollup.
 
@@ -276,7 +281,7 @@ class GeoBlock:
         (:func:`~repro.engine.executor.merge_results`).
         """
         items = [(self.plan(target), aggs) for target in targets]
-        return self._executor.run_grouped(items, mode=mode or self.query_mode)
+        return self._executor.run_grouped(items)
 
     # -- helpers ----------------------------------------------------------------------
 

@@ -11,9 +11,8 @@ runners -- flows through this package's two-stage pipeline:
    block, view, and baseline) plus the per-cell AggregateTrie probe
    decisions of Figure 8;
 2. the **executor** (:mod:`repro.engine.executor`) carries the plan out
-   under one of three execution models -- the columnar ``kernel``
-   model of :mod:`repro.engine.kernels` (the production default), the
-   per-cell ``vector`` fold it is bit-identical to, or the paper's
+   under the columnar ``kernel`` model of :mod:`repro.engine.kernels`
+   -- or, on a block the experiment harness switched over, the paper's
    ``scalar`` loop -- answers whole batches in one shared pass
    (``run_batch``), and defines the probe / cache-hit counters once
    for every path.
@@ -40,7 +39,6 @@ from repro.engine.executor import (
     aggregate_rows,
     aggregate_rows_scalar,
     batch_items,
-    resolve_mode,
     union_ranges,
 )
 from repro.engine.planner import (
@@ -67,7 +65,6 @@ __all__ = [
     "aggregate_rows",
     "aggregate_rows_scalar",
     "batch_items",
-    "resolve_mode",
     "union_ranges",
 ]
 

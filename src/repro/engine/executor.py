@@ -1,33 +1,27 @@
 """Query execution: carrying out a :class:`~repro.engine.planner.QueryPlan`.
 
-This module consolidates every probe-and-aggregate loop that used to be
-duplicated across ``core/geoblock.py`` (vector + scalar + literal
-Listing 1 paths) and ``core/adaptive.py`` (the Figure 8 cache-aware
-variant).  One :class:`Executor` is bound to one block and offers:
+One :class:`Executor` is bound to one block and carries every
+probe-and-aggregate loop of the system:
 
-* ``select`` / ``count`` -- single-query execution under any of the
-  three execution models ("kernel" batched columnar reductions --
-  the production default -- "vector" numpy slice reductions per cell,
-  or "scalar" aggregate-at-a-time, the experiment harness's model),
-  consuming the plan's cache-probe decisions when present;
-* ``run_batch`` -- the batched workload path: all covering cells of all
-  queries are located with two shared binary-search passes.  Under the
-  kernel model the whole batch reduces through a handful of columnar
-  kernel calls (:mod:`repro.engine.kernels`); under the vector model
-  duplicate aggregate ranges (the signature of skewed workloads) are
-  materialised into records exactly once and the per-query folds
-  combine the shared records.  Sharded blocks fan both paths out
-  across shards (:mod:`repro.engine.shards`).
-
-The kernel model is a pure execution strategy: its answers are
-bit-identical to the vector model's on every path (see the exactness
-contract in :mod:`repro.engine.kernels`), so "vector" remains the
-always-available parity oracle.
+* the **kernel** model answers every request: ``select`` and
+  ``run_batch`` locate all covering cells with two shared binary-search
+  passes, lay Figure 8's per-cell cache decisions out as a contribution
+  sequence, and reduce it through a handful of columnar kernel calls
+  (:mod:`repro.engine.kernels`).  Sharded blocks fan the segment
+  reductions out across shards (:mod:`repro.engine.shards`);
+* the **scalar** model (``block.query_mode = "scalar"``, set only by
+  the experiment harness) replays the paper aggregate-at-a-time: the
+  Figure 8 walk of :meth:`Executor.select_scalar` and the literal
+  Listing 1 of :meth:`Executor.select_listing1`;
+* :meth:`Executor.select_reference` is the kernel's test reference --
+  the per-cell ``Accumulator`` fold whose float operation sequence the
+  kernels reproduce bit for bit (see the exactness contract in
+  :mod:`repro.engine.kernels`).  Nothing serves through it.
 
 Counter semantics are defined here once: ``cells_probed`` is the number
 of covering cells after header pruning and ``cache_hits`` the number of
 those answered entirely from the AggregateTrie -- identical across the
-scalar and vector models by construction.
+models by construction.
 
 The row-level fold helpers used by the on-the-fly baselines
 (``aggregate_rows`` and friends) also live here, so every competitor
@@ -55,21 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.etl import BaseData
     from repro.storage.schema import Schema
 
-#: The execution models, in production-preference order: "kernel"
-#: (columnar batch reductions, the default), "vector" (per-cell numpy
-#: slice folds, the parity oracle), "scalar" (aggregate-at-a-time, the
-#: experiment harness's comparable-per-item-cost model).
-EXECUTION_MODES = ("kernel", "vector", "scalar")
-
-
-def resolve_mode(mode: str | None, default: str) -> str:
-    """Resolve a per-call mode override against a block default."""
-    model = mode if mode is not None else default
-    if model not in EXECUTION_MODES:
-        raise QueryError(
-            f"unknown execution mode {model!r}; use one of {EXECUTION_MODES}"
-        )
-    return model
+#: The values of a block's ``query_mode``: "kernel" (columnar batch
+#: reductions; answers every request) and "scalar" (aggregate-at-a-time,
+#: the experiment harness's comparable-per-item-cost model).
+EXECUTION_MODES = ("kernel", "scalar")
 
 
 @dataclass(frozen=True)
@@ -130,7 +113,7 @@ class Executor:
 
     The executor reads the block's ``aggregates`` and ``query_mode``
     lazily on every call, so in-place updates (``core/updates.py``) and
-    mode switches take effect immediately.
+    the experiment harness's switch to scalar take effect immediately.
     """
 
     def __init__(self, block) -> None:  # noqa: ANN001 - GeoBlock (circular)
@@ -182,7 +165,7 @@ class Executor:
     def segment_partials(
         self, lo: np.ndarray, hi: np.ndarray, columns: Sequence[str]
     ) -> SegmentPartials:
-        """Per-segment partial aggregates for the kernel model.
+        """Per-segment partial aggregates (kernel stage 1).
 
         Sharded blocks override this to fan the segment reductions out
         per shard (:class:`repro.engine.shards.ShardedExecutor`).
@@ -196,7 +179,8 @@ class Executor:
         return self.aggregates.slice_record(lo, hi)
 
     def _fold_slice(self, accumulator: Accumulator, lo: int, hi: int, scalar: bool) -> None:
-        """Combine aggregate rows [lo, hi) under the execution model."""
+        """Combine aggregate rows [lo, hi): aggregate-at-a-time under the
+        scalar model, one ``add_slice`` for the reference fold."""
         if scalar:
             aggregates = self.aggregates
             add_row = accumulator.add_row
@@ -205,60 +189,75 @@ class Executor:
         else:
             accumulator.add_slice(self.aggregates, lo, hi)
 
-    def _fold_cell(self, cell: int, accumulator: Accumulator, scalar: bool) -> None:
-        """The base algorithm restricted to one query cell (used for
-        the uncached children of a partial cache hit)."""
-        lo, hi = self.cell_range(cell)
-        self._fold_slice(accumulator, lo, hi, scalar)
-
     # -- single-query execution ------------------------------------------
 
     def select(
-        self,
-        plan: "QueryPlan",
-        aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
+        self, plan: "QueryPlan", aggs: Sequence[AggSpec] | None = None
     ) -> QueryResult:
-        """Execute one SELECT plan (Listing 1 / Figure 8).
+        """Execute one SELECT plan (Listing 1 / Figure 8) under the
+        bound block's ``query_mode``.
 
-        ``mode`` defaults to the bound block's ``query_mode``.  Plans
-        carrying cache-probe decisions follow Figure 8 per covering
-        cell: hits fold the cached record, partial hits fold the cached
-        children and fall back per uncached child, misses run the base
-        range fold.
+        Plans carrying cache-probe decisions follow Figure 8 per
+        covering cell: hits fold the cached record, partial hits fold
+        the cached children and fall back per uncached child, misses run
+        the base range fold.
         """
+        if self._block.query_mode == "scalar":
+            return self.select_scalar(plan, aggs)
         aggs = default_aggs(aggs)
         self.validate_aggs(aggs)
-        model = resolve_mode(mode, self._block.query_mode)
         union = plan.union
-        if model == "kernel":
-            if len(union):
-                lo, hi = self.ranges(union)
-            else:
-                lo = hi = np.empty(0, dtype=np.int64)
-            return self._run_kernel([plan], [aggs], lo, hi, [0, len(union)])[0]
-        scalar = model == "scalar"
+        if len(union):
+            lo, hi = self.ranges(union)
+        else:
+            lo = hi = np.empty(0, dtype=np.int64)
+        return self._run_kernel([plan], [aggs], lo, hi, [0, len(union)])[0]
+
+    def select_scalar(
+        self, plan: "QueryPlan", aggs: Sequence[AggSpec] | None = None
+    ) -> QueryResult:
+        """The paper-replay model: every contained cell aggregate is
+        folded individually (see ``experiments/common.make_scalar``)."""
+        return self._select_walk(plan, aggs, scalar=True)
+
+    def select_reference(
+        self, plan: "QueryPlan", aggs: Sequence[AggSpec] | None = None
+    ) -> QueryResult:
+        """The kernel model's bit-exact test reference.
+
+        One ``Accumulator.add_slice`` per covering cell and one
+        ``add_record`` per trie hit, in covering order -- the float
+        operation sequence the kernels restructure but must reproduce
+        bit for bit.  Single query, no batching, no shard fan-out; tests
+        and the ``engine_batch_parity`` gate compare against it and no
+        request is served through it.
+        """
+        return self._select_walk(plan, aggs, scalar=False)
+
+    def _select_walk(
+        self, plan: "QueryPlan", aggs: Sequence[AggSpec] | None, scalar: bool
+    ) -> QueryResult:
+        """Figure 8's per-cell walk over one plan's covering."""
+        aggs = default_aggs(aggs)
+        self.validate_aggs(aggs)
+        union = plan.union
         aggregates = self.aggregates
         accumulator = Accumulator.for_aggs(aggregates.schema, aggs)
         cache_hits = 0
         if len(union):
             lo, hi = self.ranges(union)
-            if plan.probes is None:
-                # Hot loop: inlined per execution model (a method call
-                # per covering cell would dominate on sparse coverings).
-                if scalar:
-                    add_row = accumulator.add_row
-                    for first, last in zip(lo.tolist(), hi.tolist()):
-                        for row in range(first, last):
-                            add_row(aggregates, row)
-                else:
-                    add_slice = accumulator.add_slice
-                    for first, last in zip(lo.tolist(), hi.tolist()):
-                        add_slice(aggregates, first, last)
+            if plan.probes is not None:
+                cache_hits = self._fold_with_probes(plan, accumulator, lo, hi, scalar)
+            elif scalar:
+                # The paper replay's hot loop, inlined: a method call per
+                # covering cell would dominate on sparse coverings.
+                add_row = accumulator.add_row
+                for first, last in zip(lo.tolist(), hi.tolist()):
+                    for row in range(first, last):
+                        add_row(aggregates, row)
             else:
-                cache_hits = self._fold_with_probes(
-                    plan, accumulator, lo, hi, scalar, records=None
-                )
+                for first, last in zip(lo.tolist(), hi.tolist()):
+                    accumulator.add_slice(aggregates, first, last)
         return QueryResult(
             values={spec.key: accumulator.extract(spec) for spec in aggs},
             count=int(accumulator.count),
@@ -271,17 +270,11 @@ class Executor:
         self,
         plan: "QueryPlan",
         accumulator: Accumulator,
-        lo: np.ndarray | None,
-        hi: np.ndarray | None,
+        lo: np.ndarray,
+        hi: np.ndarray,
         scalar: bool,
-        records: "dict[tuple[int, int], np.ndarray] | None",
     ) -> int:
-        """Figure 8's per-cell cache walk; returns the cache-hit count.
-
-        When ``records`` is given (batch execution), base-range folds
-        combine the pre-materialised shared records instead of touching
-        the aggregate arrays directly.
-        """
+        """Figure 8's per-cell cache walk; returns the cache-hit count."""
         assert plan.probes is not None
         # All uncached trie children of the walk resolve their
         # aggregate ranges through one batched two-sided searchsorted
@@ -311,11 +304,7 @@ class Executor:
                     child_pair = next(child_ranges)
                     self._fold_slice(accumulator, child_pair[0], child_pair[1], scalar)
                 continue
-            pair = (int(lo[index]), int(hi[index]))
-            if records is not None:
-                accumulator.add_record(records[pair])
-            else:
-                self._fold_slice(accumulator, pair[0], pair[1], scalar)
+            self._fold_slice(accumulator, int(lo[index]), int(hi[index]), scalar)
         return cache_hits
 
     def count(self, plan: "QueryPlan") -> int:
@@ -380,97 +369,39 @@ class Executor:
     # -- batched execution -----------------------------------------------
 
     def run_batch(
-        self,
-        items: Sequence[tuple["QueryPlan", Sequence[AggSpec] | None]],
-        mode: str | None = None,
+        self, items: Sequence[tuple["QueryPlan", Sequence[AggSpec] | None]]
     ) -> list[QueryResult]:
         """Answer many plans in one shared pass.
 
         All covering-cell key ranges of the whole batch are located with
-        two shared ``searchsorted`` calls.  In "kernel" mode (the
-        production default) the entire batch then reduces through the
-        columnar kernels: duplicate [lo, hi) aggregate ranges -- queries
-        overlap heavily under the paper's skewed workloads -- collapse
-        to unique segments when profitable (no per-range record dict),
-        and one kernel invocation per (column, statistic) answers every
-        query at once.  In "vector" mode duplicate ranges are instead
-        materialised into records exactly once and the per-query folds
-        combine those shared records in covering order.  In "scalar"
-        mode (the experiment harness's comparable-per-item-cost model)
-        the folds stay aggregate-at-a-time with no record sharing.  All
-        three models are bit-identical to issuing the same queries one
-        by one under the same model, and kernel answers are additionally
-        bit-identical to vector answers.
+        two shared ``searchsorted`` calls, then the entire batch reduces
+        through the columnar kernels: duplicate [lo, hi) aggregate
+        ranges -- queries overlap heavily under the paper's skewed
+        workloads -- collapse to unique segments when profitable, and
+        one kernel invocation per (column, statistic) answers every
+        query at once.  Answers are bit-identical to issuing the same
+        queries one by one.
+
+        The scalar model charges every aggregate and shares nothing
+        across a batch, so there the batch *is* the sequential selects.
         """
-        model = resolve_mode(mode, self._block.query_mode)
-        scalar = model == "scalar"
+        if self._block.query_mode == "scalar":
+            return [self.select_scalar(plan, aggs) for plan, aggs in items]
         plans = [plan for plan, _ in items]
         agg_lists = [default_aggs(aggs) for _, aggs in items]
         for aggs in agg_lists:
             self.validate_aggs(aggs)
-        aggregates = self.aggregates
         # One batched range location for every covering cell of the batch.
         sizes = [len(plan.union) for plan in plans]
         if sum(sizes):
             all_mins = np.concatenate([p.union.range_mins for p in plans if len(p.union)])
             all_maxs = np.concatenate([p.union.range_maxs for p in plans if len(p.union)])
-            keys = aggregates.keys
+            keys = self.aggregates.keys
             lo_all = np.searchsorted(keys, all_mins, side="left").astype(np.int64)
             hi_all = np.searchsorted(keys, all_maxs, side="right").astype(np.int64)
         else:
             lo_all = hi_all = np.empty(0, dtype=np.int64)
-        offsets = np.cumsum([0] + sizes)
-        if model == "kernel":
-            return self._run_kernel(plans, agg_lists, lo_all, hi_all, offsets)
-        # Materialise each distinct aggregate range exactly once (vector
-        # mode only -- the scalar model charges every aggregate).  Cells
-        # answered by the trie cache never reach the aggregate arrays,
-        # so their ranges are excluded from materialisation.
-        records: dict[tuple[int, int], np.ndarray] | None = None
-        if not scalar:
-            needed: dict[tuple[int, int], None] = {}
-            for plan_index, plan in enumerate(plans):
-                start = offsets[plan_index]
-                for cell_index in range(sizes[plan_index]):
-                    probe = plan.probes[cell_index] if plan.probes is not None else None
-                    if probe is not None and (
-                        probe.status == "hit"
-                        or (probe.status == "partial" and probe.child_records)
-                    ):
-                        continue
-                    pair = (int(lo_all[start + cell_index]), int(hi_all[start + cell_index]))
-                    needed.setdefault(pair, None)
-            records = self.materialise_slices(list(needed))
-        # Per-query folds.
-        results: list[QueryResult] = []
-        for plan_index, (plan, aggs) in enumerate(zip(plans, agg_lists)):
-            start, stop = offsets[plan_index], offsets[plan_index + 1]
-            lo, hi = lo_all[start:stop], hi_all[start:stop]
-            accumulator = Accumulator.for_aggs(aggregates.schema, aggs)
-            cache_hits = 0
-            if len(plan.union):
-                if plan.probes is not None:
-                    cache_hits = self._fold_with_probes(
-                        plan, accumulator, lo, hi, scalar=scalar, records=records
-                    )
-                elif scalar:
-                    add_row = accumulator.add_row
-                    for first, last in zip(lo.tolist(), hi.tolist()):
-                        for row in range(first, last):
-                            add_row(aggregates, row)
-                else:
-                    for first, last in zip(lo.tolist(), hi.tolist()):
-                        accumulator.add_record(records[(first, last)])
-            results.append(
-                QueryResult(
-                    values={spec.key: accumulator.extract(spec) for spec in aggs},
-                    count=int(accumulator.count),
-                    cells_probed=len(plan.union),
-                    cache_hits=cache_hits,
-                    covering_cached=plan.from_cache,
-                )
-            )
-        return results
+        return self._run_kernel(plans, agg_lists, lo_all, hi_all, np.cumsum([0] + sizes))
 
     # -- kernel-model execution ------------------------------------------
 
@@ -490,14 +421,15 @@ class Executor:
 
         The fold is restructured, not reformulated: per query an ordered
         *contribution sequence* is laid out -- exactly the sequence of
-        ``add_slice`` / ``add_record`` calls the vector model would make
-        (range partials for plain cells and uncached trie children,
-        cached records for trie hits) -- then stage 1 computes all range
-        partials at once (:meth:`segment_partials`, deduplicating
-        repeated ranges when profitable) and stage 2 folds each query's
-        sequence with the batched reductions of
-        :mod:`repro.engine.kernels`.  Both stages reproduce the vector
-        model's float semantics bit for bit (see the kernels module).
+        ``add_slice`` / ``add_record`` calls :meth:`select_reference`
+        makes (range partials for plain cells and uncached trie
+        children, cached records for trie hits) -- then stage 1 computes
+        all range partials at once (:meth:`segment_partials`,
+        deduplicating repeated ranges when profitable) and stage 2 folds
+        each query's sequence with the batched reductions of
+        :mod:`repro.engine.kernels`.  Both stages reproduce the
+        reference fold's float semantics bit for bit (see the kernels
+        module).
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         nq = len(plans)
@@ -579,8 +511,7 @@ class Executor:
                 record_matrix = np.asarray(record_rows, dtype=np.float64)
                 record_dst = np.asarray(record_dst_list, dtype=np.int64)
         # Stage 1: every range partial in one pass, over unique ranges
-        # when the batch repeats them (skewed workloads) -- the kernel
-        # analogue of the vector model's record-dedup dict.
+        # when the batch repeats them (skewed workloads).
         partials = self._range_partials(seg_lo, seg_hi, columns)
         # Scatter partials and cached records into the contribution
         # layout (the fast path needs no scatter: partials align).
@@ -615,7 +546,7 @@ class Executor:
         # Stage 2: per-query folds over the contribution sequences.  A
         # lone query (the sequential SELECT path) reduces its single
         # sequence directly -- same folds, none of the batched ranged
-        # machinery -- so per-call overhead stays below the vector walk.
+        # machinery -- so per-call overhead stays low.
         if nq == 1:
             return [
                 self._reduce_single(
@@ -692,8 +623,8 @@ class Executor:
         Count is a sum of integer-valued floats (exact under any
         order), min/max reductions are order-independent, and sums go
         through :func:`~repro.engine.kernels.sequential_sum` -- so every
-        value matches the batched reductions (and the vector model) bit
-        for bit.
+        value matches the batched reductions (and the reference fold)
+        bit for bit.
         """
         count = float(contrib_counts.sum())
         sums: dict[str, float] = {}
@@ -742,34 +673,21 @@ class Executor:
     # -- grouped execution (multi-region group-by) -----------------------
 
     def run_grouped(
-        self,
-        items: Sequence[tuple["QueryPlan", Sequence[AggSpec] | None]],
-        mode: str | None = None,
+        self, items: Sequence[tuple["QueryPlan", Sequence[AggSpec] | None]]
     ) -> tuple[list[QueryResult], QueryResult]:
         """Answer a group of plans sharing one aggregate list, plus a
         combined rollup.
 
         This is the engine entry point of the API's multi-region
         group-by: per-feature answers come from :meth:`run_batch` (one
-        shared binary-search pass; record dedup across overlapping
+        shared binary-search pass; range dedup across overlapping
         features), and the rollup folds the per-feature results via
         :func:`merge_results`.  Per-feature results are bit-identical to
         answering each feature alone.
         """
-        results = self.run_batch(items, mode=mode)
+        results = self.run_batch(items)
         aggs = default_aggs(items[0][1] if items else None)
         return results, merge_results(results, aggs)
-
-    def materialise_slices(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Full-schema records for each distinct aggregate range.
-
-        Sharded blocks override this to fan the work out per shard
-        (:class:`repro.engine.shards.ShardedExecutor`).
-        """
-        aggregates = self.aggregates
-        return {pair: aggregates.slice_record(pair[0], pair[1]) for pair in pairs}
 
 
 def merge_results(results: Sequence[QueryResult], aggs: Sequence[AggSpec]) -> QueryResult:

@@ -1,8 +1,10 @@
 """Columnar executor kernels: the "kernel" execution model.
 
-The vector model folds covering cells one at a time -- a Python-level
-``add_slice`` per cell, each issuing a handful of tiny numpy
-reductions.  The kernel model instead gathers every [lo, hi)
+The per-cell ``Accumulator`` fold
+(:meth:`~repro.engine.executor.Executor.select_reference`) walks
+covering cells one at a time -- a Python-level ``add_slice`` per cell,
+each issuing a handful of tiny numpy reductions.  The kernel model
+instead gathers every [lo, hi)
 aggregate-row range of a query (or of a whole batch) into flat segment
 arrays and reduces them with a few batched numpy calls, so interpreter
 overhead is O(aggregate functions), not O(cells x rows).
@@ -10,10 +12,9 @@ overhead is O(aggregate functions), not O(cells x rows).
 Bit-exactness contract
 ----------------------
 
-Kernel answers must be bit-identical to the vector model (the parity
-oracle gated by ``tests/engine/test_kernels.py`` and the
-``engine_batch_parity`` bench scenario).  The vector model's float
-semantics are: per covering cell the partial is
+Kernel answers must be bit-identical to that per-cell fold (the
+reference gated by ``tests/engine/test_kernels.py`` and the
+``engine_batch_parity`` bench scenario).  Its float semantics are: per covering cell the partial is
 ``float(column[lo:hi].sum())`` (numpy's pairwise summation over a
 contiguous slice), and across cells the partials fold sequentially in
 covering order through a Python ``+=`` starting at ``0.0``.  Plain
@@ -31,7 +32,7 @@ primitives that do:
 * **lockstep sequential folds** (:func:`sequential_ranged_sums`): the
   per-query partials are scattered into a ``(max_cells, num_queries)``
   matrix and reduced row by row -- each query's fold is the exact
-  sequential ``0.0 + p0 + p1 + ...`` of the vector accumulator, all
+  sequential ``0.0 + p0 + p1 + ...`` of the accumulator, all
   queries advancing one step per vectorised add.  Oversized queries
   fall back to ``np.add.accumulate`` over a ``0.0``-seeded copy, which
   performs the identical sequential fold;
@@ -42,8 +43,7 @@ primitives that do:
 
 Padding folds the identity (``0.0`` for sums) into queries shorter
 than the matrix: ``x + 0.0`` differs from ``x`` only when ``x`` is
-``-0.0``, the same caveat the batched vector path already accepts when
-it folds identity records for empty ranges.
+``-0.0`` -- which a fold seeded at ``0.0`` never is.
 
 This module is pure array plumbing: it knows nothing about plans,
 probes, or blocks.  The :class:`~repro.engine.executor.Executor`
@@ -128,7 +128,7 @@ def segment_partials(
     columns: Sequence[str],
 ) -> SegmentPartials:
     """Partial aggregates of every [lo, hi) segment, bit-identical to
-    the vector model's per-cell ``add_slice``.
+    a per-cell ``Accumulator.add_slice``.
 
     Segments are bucketed by length and gathered into C-contiguous
     ``(k, L)`` matrices, whose row reductions match the corresponding
@@ -225,7 +225,7 @@ def sequential_ranged_sums(
     (``len(starts) - 1`` ranges, range ``q`` spanning
     ``values[starts[q]:starts[q + 1]]``); one totals array is returned
     per input.  Each range is folded strictly left to right from
-    ``0.0`` -- the vector accumulator's ``+=`` sequence -- via the
+    ``0.0`` -- the accumulator's ``+=`` sequence -- via the
     lockstep matrix (all ranges advance one element per vectorised
     add); ranges longer than :data:`HEAVY_QUERY_ROWS` fold through
     ``np.add.accumulate`` over a ``0.0``-seeded copy instead, which is

@@ -30,8 +30,7 @@ every :class:`~repro.engine.executor.QueryResult`.
 What sharding buys:
 
 * **batched execution fans out per shard**: the executor's dominant
-  fold -- segment partials under the kernel model, record
-  materialisation under the vector model -- is split at shard
+  fold -- the kernel model's segment partials -- is split at shard
   boundaries and dispatched to a thread pool, one numpy segment
   per shard (threads release the GIL inside numpy reductions);
 * **partition pruning**: clustered workloads touch a handful of curve
@@ -50,8 +49,8 @@ What sharding buys:
 Caching: a sharded block plans through the same tiered cache handle as
 every other block (:mod:`repro.cache`).  The covering and result tiers
 take one lock per operation, so the handle is safe to use from the
-batch fan-out pool below -- shard workers only *read* materialisation
-inputs, and any cache traffic they generate serialises on the tier
+batch fan-out pool below -- shard workers only *read* the aggregate
+arrays, and any cache traffic they generate serialises on the tier
 lock, never on planner state.  ``from_block`` and ``coarsened`` keep
 the source block's cache binding, so a service-configured private
 cache survives re-wrapping.
@@ -59,7 +58,7 @@ cache survives re-wrapping.
 Note on float determinism: results are bit-identical to the unsharded
 block, including sums, under either layout.  Ranges contained in one
 shard (the common case) fan out per shard; ranges *spanning* a shard
-boundary are materialised over the full row range of the shared arrays
+boundary are reduced over the full row range of the shared arrays
 -- the partition is zero-copy, so the full range is directly
 addressable -- which reproduces the plain block's fold order exactly.
 Merging rounded per-shard float partials (even with ``math.fsum``)
@@ -105,8 +104,8 @@ LAYOUTS = ("curve", "prefix")
 #: data.
 SHARD_LEVEL_OFFSET = 3
 
-#: Below this many distinct ranges a thread pool costs more than it
-#: saves; the executor then materialises inline.
+#: Below this many segments a thread pool costs more than it saves;
+#: the executor then reduces inline.
 MIN_RANGES_FOR_FANOUT = 32
 
 
@@ -138,24 +137,21 @@ class Shard:
 
 
 class ShardedExecutor(Executor):
-    """Executor whose batch folds fan out per shard: record
-    materialisation for the vector model, segment partials for the
-    kernel model.  Routing telemetry is attached to every result."""
+    """Executor whose segment partials fan out per shard.  Routing
+    telemetry is attached to every result."""
 
     def select(
         self,
         plan,  # noqa: ANN001 - QueryPlan
         aggs: Sequence[AggSpec] | None = None,
-        mode: str | None = None,
     ) -> QueryResult:
-        return self._with_routing(plan, super().select(plan, aggs, mode))
+        return self._with_routing(plan, super().select(plan, aggs))
 
     def run_batch(
         self,
         items,  # noqa: ANN001 - Sequence[tuple[QueryPlan, aggs]]
-        mode: str | None = None,
     ) -> list[QueryResult]:
-        results = super().run_batch(items, mode)
+        results = super().run_batch(items)
         return [
             self._with_routing(plan, result)
             for (plan, _), result in zip(items, results)
@@ -210,64 +206,6 @@ class ShardedExecutor(Executor):
         for positions, partials in block.thread_pool.map(bucket_partials, buckets):
             out.scatter_from(partials, positions)
         return out
-
-    def materialise_slices(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        block: "ShardedGeoBlock" = self._block  # type: ignore[assignment]
-        shards = block.shards
-        if len(shards) <= 1 or len(pairs) < MIN_RANGES_FOR_FANOUT:
-            return super().materialise_slices(pairs)
-        # Bucket each range by its owning shard (one vectorised interval
-        # search via the router).  Boundary-spanning ranges form their
-        # own buckets and are materialised over the *full* row range:
-        # the shards are contiguous views of one shared array, so the
-        # full range is directly addressable, and computing it whole
-        # keeps the fold order -- and therefore every float sum bit --
-        # identical to the unsharded block (see the module note).
-        pair_lo = np.fromiter((pair[0] for pair in pairs), dtype=np.int64, count=len(pairs))
-        pair_hi = np.fromiter((pair[1] for pair in pairs), dtype=np.int64, count=len(pairs))
-        owner = block.router.segment_owners(pair_lo, pair_hi)
-        per_shard: list[list[tuple[int, int, int]]] = [[] for _ in shards]
-        spanning: list[tuple[int, int, int]] = []
-        for pair_index, (lo, hi) in enumerate(pairs):
-            if hi <= lo:
-                continue
-            shard_index = int(owner[pair_index])
-            if shard_index >= 0:
-                per_shard[shard_index].append((pair_index, lo, hi))
-            else:
-                spanning.append((pair_index, lo, hi))
-        aggregates = self.aggregates
-
-        def shard_records(work: list[tuple[int, int, int]]) -> list[tuple[int, np.ndarray]]:
-            return [
-                (pair_index, aggregates.slice_record(lo, hi))
-                for pair_index, lo, hi in work
-            ]
-
-        busy = [work for work in per_shard if work]
-        if spanning:
-            # Spread spanning ranges across the pool too -- one bucket
-            # would serialise them on a single worker.
-            step = max(1, -(-len(spanning) // (self._block.max_workers or 1)))
-            busy.extend(
-                spanning[start : start + step] for start in range(0, len(spanning), step)
-            )
-        chunks = list(block.thread_pool.map(shard_records, busy))
-        records: dict[tuple[int, int], np.ndarray] = {}
-        computed: dict[int, np.ndarray] = {}
-        for chunk in chunks:
-            for pair_index, record in chunk:
-                computed[pair_index] = record
-        for pair_index, pair in enumerate(pairs):
-            record = computed.get(pair_index)
-            if record is None:
-                # Empty ranges land here by design (slice_record yields
-                # the combine identity for them).
-                record = aggregates.slice_record(pair[0], pair[1])
-            records[pair] = record
-        return records
 
 
 class ShardedGeoBlock(GeoBlock):

@@ -207,8 +207,8 @@ def make_scalar(aggregator):  # noqa: ANN001, ANN201
     per-item costs; numpy's vectorised reductions would otherwise hide
     the baselines' per-tuple work behind near-zero amortised cost and
     invert every runtime shape.  All timed experiments therefore run
-    every competitor in scalar mode (the vectorised mode remains the
-    production default of the library).
+    every competitor in scalar mode (the kernel model answers every
+    request outside the harness).
     """
     if hasattr(aggregator, "query_mode"):
         aggregator.query_mode = "scalar"
@@ -268,8 +268,7 @@ def run_workload_batched(
 
     ``batch_size`` bounds each ``run_batch`` call (None = the whole
     workload in one batch).  Results are in workload order and -- for
-    engine-backed aggregators in vector mode -- identical to
-    :func:`run_workload`.
+    engine-backed aggregators -- identical to :func:`run_workload`.
     """
     watch = Stopwatch()
     results: list[QueryResult] = []

@@ -29,7 +29,7 @@ from repro.core.aggregates import AggSpec, CellAggregates
 from repro.core.serialize import read_archive_meta, write_archive
 from repro.engine.executor import QueryResult
 from repro.materialize.store import MaterializedStore
-from repro.materialize.view import MaterializedView, mv_key
+from repro.materialize.view import MaterializedView, MVKey, mv_key
 
 #: Bumped whenever the sidecar layout changes.
 MV_FORMAT_VERSION = 1
@@ -102,7 +102,6 @@ def save_views(
                 "name": view.name,
                 "region": serialise_region(view.region),
                 "aggs": [[spec.function, spec.column] for spec in view.aggs],
-                "mode": view.mode,
                 "trie": view.trie_hint,
                 "count_only": view.count_only,
                 "hits": view.hits,
@@ -123,14 +122,21 @@ def save_views(
 def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: CellAggregates) -> int:
     """Restore views from the sidecar at ``path`` into ``store``.
 
-    Missing file, unreadable meta, wrong format version, or a content
-    stamp that no longer matches the aggregates all yield an untouched
-    store (count 0): a sidecar is an accelerator, never a correctness
-    dependency.  Returns the number of views restored.
+    Missing file, unreadable meta, wrong format version, a content
+    stamp that no longer matches the aggregates, or any malformed view
+    entry all yield an untouched store (count 0): a sidecar is an
+    accelerator, never a correctness dependency.  Every view is built
+    before the first is admitted, so a sidecar loads whole or not at
+    all.  Returns the number of views restored.
+
+    Pre-1.9 entries carry a ``mode`` key that is ignored; two entries
+    that differed only in it now share one key and load as one view
+    (the first wins and keeps its name).
     """
     path = pathlib.Path(path)
     if not path.exists():
         return 0
+    views: dict[MVKey, MaterializedView] = {}
     try:
         with np.load(path) as archive:
             meta = read_archive_meta(archive)
@@ -138,7 +144,6 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                 return 0
             if meta.get("stamp") != content_stamp(aggregates):
                 return 0
-            loaded = 0
             for index, view_meta in enumerate(meta["views"]):
                 if not view_meta.get("pinned", True):
                     # Auto-admitted by a pre-1.8 server: a guess, not a
@@ -149,6 +154,8 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                     AggSpec(function, column)
                     for function, column in view_meta["aggs"]
                 ]
+                trie_hint = bool(view_meta["trie"])
+                count_only = bool(view_meta["count_only"])
                 covering = CellUnion(
                     np.asarray(archive[f"covering_{index}"], dtype=np.int64),
                     assume_sorted=True,
@@ -162,28 +169,24 @@ def load_views(path: str | pathlib.Path, store: MaterializedStore, aggregates: C
                     name=view_meta["name"],
                     region=region,
                     aggs=aggs,
-                    mode=view_meta["mode"],
-                    trie_hint=bool(view_meta["trie"]),
-                    count_only=bool(view_meta["count_only"]),
-                    key=mv_key(
-                        region,
-                        aggs,
-                        view_meta["mode"],
-                        bool(view_meta["trie"]),
-                        bool(view_meta["count_only"]),
-                    ),
+                    trie_hint=trie_hint,
+                    count_only=count_only,
+                    key=mv_key(region, aggs, trie_hint, count_only),
                     covering=covering,
                     records=records,
                     result=_result_from_meta(view_meta["result"]),
                     version=int(view_meta["version"]),
                     hits=int(view_meta["hits"]),
                 )
-                store.admit(view)
-                loaded += 1
-            store.disk_bytes = int(os.path.getsize(path))
-            return loaded
-    except (KeyError, ValueError, OSError):  # pragma: no cover - corrupt sidecar
+                views.setdefault(view.key, view)
+    except (KeyError, ValueError, OSError):
         return 0
+    if len({view.name for view in views.values()}) != len(views):
+        return 0  # duplicate names: no writer produces them
+    for view in views.values():
+        store.admit(view)
+    store.disk_bytes = int(os.path.getsize(path))
+    return len(views)
 
 
 __all__ = [

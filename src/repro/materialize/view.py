@@ -9,12 +9,13 @@ with one full-schema aggregate record per covering cell.
 The refresh contract is bit-identity with a cold rebuild, and it holds
 by construction rather than by tolerance:
 
-* the stored records are exactly what the vector model materialises per
-  covering cell (:meth:`CellAggregates.slice_record` over the cell's
-  aggregate-row range), and re-folding the non-empty ones in covering
-  order through :meth:`Accumulator.add_record` performs the identical
-  float operation sequence as the executor's vector select -- which the
-  kernel model is in turn gated bit-identical to;
+* the stored records are one :meth:`CellAggregates.slice_record` per
+  covering cell (over the cell's aggregate-row range), and re-folding
+  the non-empty ones in covering order through
+  :meth:`Accumulator.add_record` performs the identical float operation
+  sequence as the per-cell ``Accumulator`` fold
+  (:meth:`Executor.select_reference`) -- which the kernel model is in
+  turn gated bit-identical to;
 * an append only changes the records of covering cells that received a
   row (membership via :meth:`CellUnion.contains_leaves` on the appended
   leaf ids; the covering is stored *unpruned*, so membership is
@@ -31,9 +32,10 @@ by construction rather than by tolerance:
   record re-fold cannot reproduce).  Before the trie exists the
   record re-fold applies as on every other kind.
 
-The scalar execution model is deliberately not materializable: unlike
-the kernel model it carries no bit-identity gate against the vector
-fold, so a re-fold could drift from a scalar cold rebuild by rounding.
+A block switched to the scalar model is deliberately not
+materializable: unlike the kernel model, scalar carries no bit-identity
+gate against the per-cell fold, so a re-fold could drift from a scalar
+cold rebuild by rounding.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from repro.core.geoblock import GeoBlock
 from repro.engine import kernels
 from repro.engine.executor import QueryResult
 
-#: MV key layout: (region fingerprint, aggregate key, resolved mode,
-#: trie hint, count_only).  The result tier's token / predicate-key
+#: MV key layout: (region fingerprint, aggregate key, trie hint,
+#: count_only).  The result tier's token / predicate-key
 #: components are implicit (one store per dataset or view) and its
 #: version component is deliberately absent: materialized views refresh
 #: on append instead of invalidating.
@@ -61,7 +63,6 @@ MVKey = tuple
 def mv_key(
     target,  # noqa: ANN001 - region geometry
     aggs: Sequence[AggSpec],
-    mode: str | None,
     trie: bool,
     count_only: bool,
 ) -> MVKey:
@@ -72,8 +73,8 @@ def mv_key(
     from repro.cells.fingerprint import region_fingerprint
 
     if count_only:
-        return (region_fingerprint(target), "count_only", None, False, True)
-    return (region_fingerprint(target), aggregate_key(list(aggs)), mode, trie, False)
+        return (region_fingerprint(target), "count_only", False, True)
+    return (region_fingerprint(target), aggregate_key(list(aggs)), trie, False)
 
 
 def base_block(handle) -> GeoBlock:  # noqa: ANN001 - Handle union
@@ -86,14 +87,13 @@ def base_block(handle) -> GeoBlock:  # noqa: ANN001 - Handle union
 
 def build_records(block: GeoBlock, covering: CellUnion) -> np.ndarray:
     """One full-schema aggregate record per covering cell, in covering
-    order -- the vector model's materialisation, fanned out per shard
-    on sharded blocks (``materialise_slices`` is the executor seam)."""
+    order (what :meth:`MaterializedView.refresh` recomputes for the
+    cells an append touched)."""
     lo, hi = block.executor.ranges(covering)
-    pairs = [(int(start), int(stop)) for start, stop in zip(lo, hi)]
-    materialised = block.executor.materialise_slices(pairs)
-    records = np.empty((len(pairs), block.aggregates.record_width()), dtype=np.float64)
-    for index, pair in enumerate(pairs):
-        records[index] = materialised[pair]
+    aggregates = block.aggregates
+    records = np.empty((len(covering), aggregates.record_width()), dtype=np.float64)
+    for index, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
+        records[index] = aggregates.slice_record(start, stop)
     return records
 
 
@@ -104,7 +104,6 @@ class MaterializedView:
         "name",
         "region",
         "aggs",
-        "mode",
         "trie_hint",
         "count_only",
         "key",
@@ -123,7 +122,6 @@ class MaterializedView:
         name: str,
         region,  # noqa: ANN001 - Polygon | MultiPolygon | BoundingBox
         aggs: Sequence[AggSpec],
-        mode: str | None,
         trie_hint: bool,
         count_only: bool,
         key: MVKey,
@@ -136,7 +134,6 @@ class MaterializedView:
         self.name = name
         self.region = region
         self.aggs = tuple(aggs)
-        self.mode = mode
         self.trie_hint = trie_hint
         self.count_only = count_only
         self.key = key
@@ -200,7 +197,7 @@ class MaterializedView:
             # arithmetic to the adaptive cold path, no training side
             # effects inside the write section).
             plan = handle.plan(self.region)
-            self.result = block.executor.select(plan, list(self.aggs), mode=self.mode)
+            self.result = block.executor.select(plan, list(self.aggs))
             self.full_refreshes += 1
         else:
             self.result = self._refold(block, lo, hi, probed)
@@ -211,8 +208,9 @@ class MaterializedView:
     def _refold(
         self, block: GeoBlock, lo: np.ndarray, hi: np.ndarray, probed: int
     ) -> QueryResult:
-        """Fold the stored records exactly as the vector select folds
-        covering-cell slices: non-empty cells only, covering order."""
+        """Fold the stored records exactly as the per-cell
+        ``Accumulator`` fold walks covering-cell slices: non-empty cells
+        only, covering order."""
         accumulator = Accumulator.for_aggs(block.aggregates.schema, list(self.aggs))
         for index in np.flatnonzero(hi > lo).tolist():
             accumulator.add_record(self.records[index])
@@ -243,7 +241,6 @@ class MaterializedView:
             "name": self.name,
             "kind": "materialized",
             "aggregates": [spec.key for spec in self.aggs],
-            "mode": self.mode,
             "trie": self.trie_hint,
             "count_only": self.count_only,
             "hits": self.hits,

@@ -170,6 +170,56 @@ def test_orphan_status_raises_ws005():
     assert "'gone'" in findings[0].message
 
 
+# -- WS006: hint drift --------------------------------------------------------
+
+HINT_REQUEST = REQUEST + 'HINT_KEYS = ("cache", "count_only")\n'
+
+HINT_README = README + """
+Hints tune execution: **`cache`** toggles the trie probes and
+**`count_only`** takes the count path.
+
+Elsewhere a bold **`where`** is not a hint.
+"""
+
+
+def test_documented_hints_match_is_clean():
+    assert wire.check_files(make_files(request=HINT_REQUEST, readme=HINT_README)) == []
+
+
+def test_undocumented_hint_raises_ws006():
+    request = HINT_REQUEST.replace('"count_only")', '"count_only", "turbo")')
+    findings = wire.check_files(make_files(request=request, readme=HINT_README))
+    assert rules(findings) == ["WS006"]
+    assert findings[0].path == "src/repro/api/request.py"
+    assert "'turbo'" in findings[0].message
+
+
+def test_documented_but_unparsed_hint_raises_ws006():
+    request = HINT_REQUEST.replace('("cache", "count_only")', '("cache",)')
+    findings = wire.check_files(make_files(request=request, readme=HINT_README))
+    assert rules(findings) == ["WS006"]
+    assert findings[0].path == "README.md"
+    assert "'count_only'" in findings[0].message
+
+
+def test_fake_hint_in_live_request_copy_is_caught(repo_root, tmp_path):
+    """Add a hint to a temp copy of the real ``request.py`` and assert
+    the README drift surfaces -- and nothing else."""
+    live = WireFiles.from_root(repo_root)
+    marker = 'HINT_KEYS = ("cache", "count_only")'
+    assert marker in live.request.text
+    copy = tmp_path / "request.py"
+    copy.write_text(
+        live.request.text.replace(marker, 'HINT_KEYS = ("cache", "count_only", "fake_hint")', 1),
+        encoding="utf-8",
+    )
+    files = dataclasses.replace(live, request=load_source(tmp_path, copy))
+
+    findings = wire.check_files(files)
+    assert rules(findings) == ["WS006"]
+    assert "fake_hint" in findings[0].message
+
+
 # -- the fake-op regression ---------------------------------------------------
 
 

@@ -39,11 +39,9 @@ AGG_COMBOS = [
 
 HINT_COMBOS = [
     {},
-    {"mode": "vector"},
-    {"mode": "scalar"},
     {"cache": False},
     {"count_only": True},
-    {"mode": "scalar", "cache": False, "count_only": True},
+    {"cache": False, "count_only": True},
 ]
 
 
@@ -66,14 +64,12 @@ class TestRequestRoundTrip:
         request = QueryRequest(
             region=region,
             dataset="taxi",
-            mode=hints.get("mode"),
             cache=hints.get("cache", True),
             count_only=hints.get("count_only", False),
         )
         wire = request.to_dict()
         parsed = QueryRequest.from_dict(wire)
         assert parsed.to_dict() == wire
-        assert parsed.mode == request.mode
         assert parsed.cache == request.cache
         assert parsed.count_only == request.count_only
         assert parsed.dataset == "taxi"
@@ -114,12 +110,13 @@ class TestStrictParsing:
             )
         assert excinfo.value.code == BAD_HINT
 
-    def test_bad_mode(self):
+    def test_retired_mode_hint_is_an_unknown_hint(self):
         with pytest.raises(ApiError) as excinfo:
             QueryRequest.from_dict(
-                {"region": {"bbox": [0, 0, 1, 1]}, "hints": {"mode": "turbo"}}
+                {"region": {"bbox": [0, 0, 1, 1]}, "hints": {"mode": "kernel"}}
             )
         assert excinfo.value.code == BAD_HINT
+        assert excinfo.value.details["unknown"] == ["mode"]
 
     @pytest.mark.parametrize("spec", ["", "median:fare", "sum", "sum:", 7, None])
     def test_bad_aggregate_specs(self, spec):

@@ -142,17 +142,6 @@ class TestWireRepeats:
         assert again["stats"]["cache"]["result_cached"] == 1
         assert again["data"]["count"] == counted["data"]["count"]
 
-    def test_mode_is_part_of_the_key(self, quad_polygon):
-        """Scalar and vector folds are distinct rounding sequences; a
-        vector-cached answer must never serve a scalar request."""
-        service = GeoService(cache=TieredCache())
-        service.register("taxi", build_dataset(make_base(), "geoblock"))
-        service.run_dict(wire_payload(quad_polygon))
-        scalar = wire_payload(quad_polygon)
-        scalar["hints"] = {"mode": "scalar"}
-        envelope = service.run_dict(scalar)
-        assert envelope["stats"]["cache"]["result_cached"] == 0
-
     def test_run_batch_members_probe_the_result_tier(self, small_polygons):
         service = GeoService(cache=TieredCache())
         service.register("taxi", build_dataset(make_base(), "geoblock"))

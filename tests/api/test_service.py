@@ -103,28 +103,6 @@ class TestSingleQueryParity:
         assert_values_equal(got.values, want.values)
         assert dataset.over(region_to_geojson(quad_polygon)).count() == handle.count(quad_polygon)
 
-    def test_scalar_mode_hint_matches_scalar_direct(self, service, handle, quad_polygon):
-        want = handle.select(quad_polygon, AGGS)  # vector default
-        envelope = service.run_dict(
-            {
-                "dataset": "small",
-                "region": region_to_geojson(quad_polygon),
-                "aggregates": AGG_STRINGS,
-                "hints": {"mode": "scalar"},
-            }
-        )
-        assert envelope["data"]["count"] == want.count
-        # Scalar and vector agree on count/min/max exactly; sums are
-        # float-fold-order sensitive, so compare with tolerance.
-        for key, value in want.values.items():
-            got = envelope["data"]["values"][key]
-            if np.isnan(value):
-                assert np.isnan(got)
-            else:
-                assert got == pytest.approx(value, rel=1e-9)
-        # The hint must not leak into the dataset's default mode.
-        assert service.dataset("small").handle.query_mode == "kernel"
-
 
 class TestBatchedParity:
     def test_run_batch_matches_direct_run_batch(self, service, handle, small_polygons):
@@ -163,7 +141,7 @@ class TestBatchedParity:
             else:
                 requests.append(
                     QueryRequest(
-                        region=polygon, dataset="small", aggregates=["count"], mode="scalar"
+                        region=polygon, dataset="small", aggregates=["count"], cache=False
                     )
                 )
         responses = service.run_batch(requests)

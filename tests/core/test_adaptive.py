@@ -41,15 +41,17 @@ class TestEquivalence:
         for polygon in small_polygons:
             adaptive.select(polygon, AGGS)
         adaptive.adapt()
-        vector_results = [adaptive.select(p, AGGS) for p in small_polygons]
+        executor = adaptive.block.executor
+        reference_results = [
+            executor.select_reference(adaptive.plan(p), AGGS) for p in small_polygons
+        ]
         adaptive.query_mode = "scalar"
-        for polygon, want in zip(small_polygons, vector_results):
+        for polygon, want in zip(small_polygons, reference_results):
             got = adaptive.select(polygon, AGGS)
             assert got.count == want.count
             for key, value in want.values.items():
                 if not np.isnan(value):
                     assert got.values[key] == pytest.approx(value)
-        adaptive.query_mode = "vector"
 
     def test_count_bypasses_cache(self, adaptive, small_polygons):
         for polygon in small_polygons:

@@ -91,14 +91,14 @@ class TestQueriesAgainstGroundTruth:
 class TestExecutionModes:
     @given(query_polygons())
     @settings(max_examples=20, deadline=None)
-    def test_scalar_vector_listing1_agree(self, polygon):
+    def test_scalar_reference_listing1_agree(self, polygon):
         block = _shared_block()
-        vector = block.select(polygon, AGGS)
+        reference = block.executor.select_reference(block.plan(polygon), AGGS)
         scalar = block.select_scalar(polygon, AGGS)
         listing = block.select_listing1(polygon, AGGS)
         for other in (scalar, listing):
-            assert other.count == vector.count
-            for key, value in vector.values.items():
+            assert other.count == reference.count
+            for key, value in reference.values.items():
                 if np.isnan(value):
                     assert np.isnan(other.values[key])
                 else:
@@ -106,10 +106,12 @@ class TestExecutionModes:
 
     def test_query_mode_dispatch(self, small_base, quad_polygon):
         block = GeoBlock.build(small_base, 13)
-        vector_result = block.select(quad_polygon, AGGS)
+        kernel_result = block.select(quad_polygon, AGGS)
         block.query_mode = "scalar"
         scalar_result = block.select(quad_polygon, AGGS)
-        assert scalar_result.count == vector_result.count
+        assert scalar_result == block.select_scalar(quad_polygon, AGGS)
+        assert scalar_result.count == kernel_result.count
+        assert block.run_batch([quad_polygon] * 2, aggs=AGGS) == [scalar_result] * 2
 
 
 class TestCellUnionTargets:

@@ -1,8 +1,9 @@
-"""Regression: scalar and vector execution report identical counters.
+"""Regression: every execution model reports identical counters.
 
 The engine defines ``cells_probed`` / ``cache_hits`` once for every
-path, so switching the execution model must never change them -- only
-runtimes.  This pins that contract on a shared workload across the
+path, so the kernel model, its per-cell reference fold
+(``Executor.select_reference``) and the scalar model must never
+disagree on them -- only on runtimes.  This pins that contract on a shared workload across the
 plain block, the adaptive block (cold and warm), and the covering
 baselines.
 """
@@ -26,32 +27,41 @@ def counters_for(aggregator, polygons):  # noqa: ANN001
     ]
 
 
-class TestScalarVectorCounterParity:
+def reference_counters_for(handle, polygons):  # noqa: ANN001
+    executor = getattr(handle, "block", handle).executor
+    return [
+        (result.cells_probed, result.cache_hits)
+        for result in (executor.select_reference(handle.plan(p), AGGS) for p in polygons)
+    ]
+
+
+class TestCounterParity:
     def test_plain_block(self, small_base, small_polygons):
         block = GeoBlock.build(small_base, LEVEL)
-        block.query_mode = "vector"
-        vector = counters_for(block, small_polygons)
+        kernel = counters_for(block, small_polygons)
+        reference = reference_counters_for(block, small_polygons)
         block.query_mode = "scalar"
         scalar = counters_for(block, small_polygons)
-        assert vector == scalar
-        assert all(probed > 0 for probed, _ in vector)
+        assert kernel == reference == scalar
+        assert all(probed > 0 for probed, _ in kernel)
 
     def test_adaptive_block_cold_and_warm(self, small_base, small_polygons):
         adaptive = AdaptiveGeoBlock(
             GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
         )
-        adaptive.query_mode = "vector"
-        cold_vector = counters_for(adaptive, small_polygons)
+        cold_kernel = counters_for(adaptive, small_polygons)
+        cold_reference = reference_counters_for(adaptive, small_polygons)
         adaptive.query_mode = "scalar"
         cold_scalar = counters_for(adaptive, small_polygons)
-        assert cold_vector == cold_scalar
+        assert cold_kernel == cold_reference == cold_scalar
         adaptive.adapt()
-        adaptive.query_mode = "vector"
-        warm_vector = counters_for(adaptive, small_polygons)
+        adaptive.query_mode = "kernel"
+        warm_kernel = counters_for(adaptive, small_polygons)
+        warm_reference = reference_counters_for(adaptive, small_polygons)
         adaptive.query_mode = "scalar"
         warm_scalar = counters_for(adaptive, small_polygons)
-        assert warm_vector == warm_scalar
-        assert sum(hits for _, hits in warm_vector) > 0
+        assert warm_kernel == warm_reference == warm_scalar
+        assert sum(hits for _, hits in warm_kernel) > 0
 
     @pytest.mark.parametrize("index_cls", [BinarySearchIndex, BTreeIndex])
     def test_covering_baselines(self, index_cls, small_base, small_polygons):

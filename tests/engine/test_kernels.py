@@ -1,12 +1,14 @@
-"""The "kernel" execution model: bit-identical to the vector oracle.
+"""The "kernel" execution model: bit-identical to its reference fold.
 
 The kernel model is a pure execution strategy -- columnar numpy
 reductions instead of per-cell Python folds -- so every answer it
-produces must match the vector model bit for bit: counts, sums (same
-float fold order), mins/maxs, NaN placement, and the probe/hit
-counters.  These tests gate that contract across all three block kinds
-(plain, sharded, adaptive-with-trie), the empty edges, and the API
-surface, plus unit-level checks of the kernel primitives themselves.
+produces must match ``Executor.select_reference`` (one
+``Accumulator.add_slice`` per covering cell, one ``add_record`` per
+trie hit) bit for bit: counts, sums (same float fold order), mins/maxs,
+NaN placement, and the probe/hit counters.  These tests gate that
+contract across all three block kinds (plain, sharded,
+adaptive-with-trie), the empty edges, and the API surface, plus
+unit-level checks of the kernel primitives themselves.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import numpy as np
 import pytest
 
 from repro.api import Dataset
+from repro.cells import cellid
+from repro.cells.union import CellUnion
 from repro.core import AdaptiveGeoBlock, AggSpec, CachePolicy, GeoBlock
 from repro.engine import kernels
-from repro.engine.executor import EXECUTION_MODES, resolve_mode
+from repro.engine.executor import EXECUTION_MODES, merge_results
 from repro.engine.shards import MIN_RANGES_FOR_FANOUT, ShardedGeoBlock
-from repro.errors import QueryError
 from repro.geometry import Polygon
 from repro.workloads.workload import Query
 
@@ -49,6 +52,14 @@ def assert_results_identical(want_list, got_list):
                 assert got.values[key] == value
 
 
+def reference(handle, targets, aggs=AGGS):
+    """The per-plan reference answers: ``handle`` plans (an adaptive
+    handle attaches its trie's probe decisions), the flat block's
+    executor folds cell by cell."""
+    executor = getattr(handle, "block", handle).executor
+    return [executor.select_reference(handle.plan(target), aggs) for target in targets]
+
+
 @pytest.fixture(scope="module")
 def block(small_base) -> GeoBlock:
     return GeoBlock.build(small_base, LEVEL)
@@ -59,32 +70,26 @@ class TestModePlumbing:
         assert block.query_mode == "kernel"
         assert EXECUTION_MODES[0] == "kernel"
 
-    def test_unknown_mode_rejected(self, block, quad_polygon):
-        with pytest.raises(QueryError):
-            block.select(quad_polygon, AGGS, mode="simd")
-        with pytest.raises(QueryError):
-            resolve_mode(None, "turbo")
-
     def test_adaptive_shares_mode_with_wrapped_block(self, small_base):
         adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
         assert adaptive.query_mode == "kernel"
 
 
 class TestPlainBlockParity:
-    def test_select_matches_vector(self, block, small_polygons):
-        vector = [block.select(p, AGGS, mode="vector") for p in small_polygons]
-        kernel = [block.select(p, AGGS, mode="kernel") for p in small_polygons]
-        assert_results_identical(vector, kernel)
+    def test_select_matches_reference(self, block, small_polygons):
+        kernel = [block.select(p, AGGS) for p in small_polygons]
+        assert_results_identical(reference(block, small_polygons), kernel)
 
-    def test_batch_matches_vector_batch(self, block, small_polygons):
+    def test_batch_matches_reference(self, block, small_polygons):
         polygons = list(small_polygons) * 4  # repeats exercise the dedup path
-        vector = block.run_batch(polygons, aggs=AGGS, mode="vector")
-        kernel = block.run_batch(polygons, aggs=AGGS, mode="kernel")
-        assert_results_identical(vector, kernel)
+        total_cells = sum(len(block.plan(p).union) for p in polygons)
+        assert total_cells >= block.executor.MIN_SEGMENTS_FOR_DEDUP
+        kernel = block.run_batch(polygons, aggs=AGGS)
+        assert_results_identical(reference(block, polygons), kernel)
 
     def test_batch_matches_sequential_kernel(self, block, small_polygons):
-        sequential = [block.select(p, AGGS, mode="kernel") for p in small_polygons]
-        batched = block.run_batch(small_polygons, aggs=AGGS, mode="kernel")
+        sequential = [block.select(p, AGGS) for p in small_polygons]
+        batched = block.run_batch(small_polygons, aggs=AGGS)
         assert_results_identical(sequential, batched)
 
     def test_mixed_aggs_batch(self, block, small_polygons):
@@ -92,17 +97,19 @@ class TestPlainBlockParity:
             Query(region=p, aggs=(AGGS[i % len(AGGS)],))
             for i, p in enumerate(small_polygons)
         ]
-        vector = block.run_batch(queries, mode="vector")
-        kernel = block.run_batch(queries, mode="kernel")
-        assert_results_identical(vector, kernel)
+        want = [
+            block.executor.select_reference(block.plan(query.region), query.aggs)
+            for query in queries
+        ]
+        assert_results_identical(want, block.run_batch(queries))
 
     def test_scalar_model_agrees_where_order_free(self, block, small_polygons):
         """Scalar differs from kernel only in float-sum fold order:
         counts, mins and maxs are order-independent and must agree
         exactly; sums to rounding."""
         for polygon in small_polygons:
-            scalar = block.select(polygon, AGGS, mode="scalar")
-            kernel = block.select(polygon, AGGS, mode="kernel")
+            scalar = block.select_scalar(polygon, AGGS)
+            kernel = block.select(polygon, AGGS)
             assert kernel.count == scalar.count
             if kernel.count == 0:
                 assert np.isnan(kernel.values["min(fare)"])
@@ -116,32 +123,27 @@ class TestPlainBlockParity:
 
     def test_empty_covering(self, block):
         nowhere = Polygon([(10.0, 10.0), (10.001, 10.0), (10.001, 10.001)])
-        vector = block.select(nowhere, AGGS, mode="vector")
-        kernel = block.select(nowhere, AGGS, mode="kernel")
-        assert_results_identical([vector], [kernel])
+        kernel = block.select(nowhere, AGGS)
+        assert_results_identical(reference(block, [nowhere]), [kernel])
         assert kernel.count == 0
 
     def test_empty_aggs_count_only(self, block, quad_polygon):
-        vector = block.select(quad_polygon, (), mode="vector")
-        kernel = block.select(quad_polygon, (), mode="kernel")
-        assert kernel.values == {} == vector.values
-        assert kernel.count == vector.count
-        batched = block.run_batch([Query(region=quad_polygon, aggs=())], mode="kernel")
+        (want,) = reference(block, [quad_polygon], ())
+        kernel = block.select(quad_polygon, ())
+        assert kernel.values == {} == want.values
+        assert kernel.count == want.count
+        batched = block.run_batch([Query(region=quad_polygon, aggs=())])
         assert batched[0].values == {}
-        assert batched[0].count == vector.count
+        assert batched[0].count == want.count
 
     def test_empty_batch(self, block):
-        assert block.run_batch([], mode="kernel") == []
+        assert block.run_batch([]) == []
 
-    def test_grouped_matches_vector(self, block, small_polygons):
-        kernel_rows, kernel_rollup = block.run_grouped(
-            small_polygons, aggs=AGGS, mode="kernel"
-        )
-        vector_rows, vector_rollup = block.run_grouped(
-            small_polygons, aggs=AGGS, mode="vector"
-        )
-        assert_results_identical(vector_rows, kernel_rows)
-        assert_results_identical([vector_rollup], [kernel_rollup])
+    def test_grouped_matches_reference(self, block, small_polygons):
+        kernel_rows, kernel_rollup = block.run_grouped(small_polygons, aggs=AGGS)
+        want_rows = reference(block, small_polygons)
+        assert_results_identical(want_rows, kernel_rows)
+        assert_results_identical([merge_results(want_rows, AGGS)], [kernel_rollup])
 
     def test_count_matches_brute_force(self, block, small_polygons):
         """Satellite: the vectorised COUNT kernel must reproduce the
@@ -165,27 +167,31 @@ class TestShardedParity:
     def sharded(self, small_base) -> ShardedGeoBlock:
         return ShardedGeoBlock.build(small_base, LEVEL)
 
-    def test_select_matches_plain_vector(self, block, sharded, small_polygons):
-        vector = [block.select(p, AGGS, mode="vector") for p in small_polygons]
-        kernel = [sharded.select(p, AGGS, mode="kernel") for p in small_polygons]
-        assert_results_identical(vector, kernel)
+    def test_select_matches_plain_reference(self, block, sharded, small_polygons):
+        kernel = [sharded.select(p, AGGS) for p in small_polygons]
+        assert_results_identical(reference(block, small_polygons), kernel)
 
     def test_batch_fans_out_and_matches(self, block, sharded, small_polygons):
         """A batch large enough to clear the fan-out threshold must hit
         the per-shard segment-partials path and stay bit-identical to
-        the plain vector fold (boundary-spanning cells included)."""
+        the plain block's reference fold (boundary-spanning cells
+        included)."""
         polygons = list(small_polygons) * 6
         total_cells = sum(len(sharded.plan(p).union) for p in small_polygons) * 6
         assert total_cells >= MIN_RANGES_FOR_FANOUT
         assert sharded.num_shards > 1
-        vector = block.run_batch(polygons, aggs=AGGS, mode="vector")
-        kernel = sharded.run_batch(polygons, aggs=AGGS, mode="kernel")
-        assert_results_identical(vector, kernel)
+        kernel = sharded.run_batch(polygons, aggs=AGGS)
+        assert_results_identical(reference(block, polygons), kernel)
 
-    def test_fanout_below_threshold_inlines(self, block, sharded, quad_polygon):
-        vector = block.select(quad_polygon, AGGS, mode="vector")
-        kernel = sharded.select(quad_polygon, AGGS, mode="kernel")
-        assert_results_identical([vector], [kernel])
+    def test_fanout_below_threshold_inlines(self, block, sharded, small_polygons):
+        small = [
+            p
+            for p in small_polygons
+            if 0 < len(sharded.plan(p).union) < MIN_RANGES_FOR_FANOUT
+        ]
+        assert small
+        kernel = [sharded.select(p, AGGS) for p in small]
+        assert_results_identical(reference(block, small), kernel)
 
 
 class TestAdaptiveParity:
@@ -201,34 +207,46 @@ class TestAdaptiveParity:
         adaptive.adapt()
         return adaptive
 
-    def test_select_matches_vector_with_trie_hits(self, trained, small_polygons):
-        vector = [trained.select(p, AGGS, mode="vector") for p in small_polygons]
-        kernel = [trained.select(p, AGGS, mode="kernel") for p in small_polygons]
-        assert_results_identical(vector, kernel)
+    def test_select_matches_reference_with_trie_hits(self, trained, small_polygons):
+        want = reference(trained, small_polygons)
+        kernel = [trained.select(p, AGGS) for p in small_polygons]
+        assert_results_identical(want, kernel)
         assert sum(result.cache_hits for result in kernel) > 0
 
-    def test_batch_matches_vector_with_trie_hits(self, trained, small_polygons):
-        queries = [Query(region=p, aggs=tuple(AGGS)) for p in small_polygons] * 3
-        vector = trained.run_batch(queries, mode="vector")
-        kernel = trained.run_batch(queries, mode="kernel")
-        assert_results_identical(vector, kernel)
+    def test_partial_hits_match_reference(self, trained):
+        """Partial trie hits (cached children + uncached-child range
+        folds) need covering cells *above* cached ones: query the
+        parents of the deepest cached cells."""
+        cached = trained.trie.cached_cells()
+        deepest = max(cellid.level_of(cell) for cell in cached)
+        parents = sorted(
+            {cellid.parent(cell) for cell in cached if cellid.level_of(cell) == deepest}
+        )
+        union = CellUnion(np.asarray(parents, dtype=np.int64))
+        plan = trained.plan(union)
+        assert any(
+            probe.status == "partial" and probe.child_records and probe.uncached_children
+            for probe in plan.probes
+        )
+        executor = trained.block.executor
+        want = executor.select_reference(plan, AGGS)
+        assert_results_identical([want], [executor.select(plan, AGGS)])
+        assert_results_identical([want] * 3, executor.run_batch([(plan, AGGS)] * 3))
+
+    def test_batch_matches_reference_with_trie_hits(self, trained, small_polygons):
+        polygons = list(small_polygons) * 3
+        want = reference(trained, polygons)
+        kernel = trained.run_batch([Query(region=p, aggs=tuple(AGGS)) for p in polygons])
+        assert_results_identical(want, kernel)
         assert sum(result.cache_hits for result in kernel) > 0
 
     def test_cold_trie_matches_plain(self, small_base, block, small_polygons):
         adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL))
-        kernel = [adaptive.select(p, AGGS, mode="kernel") for p in small_polygons]
-        vector = [block.select(p, AGGS, mode="vector") for p in small_polygons]
-        assert_results_identical(vector, kernel)
+        kernel = [adaptive.select(p, AGGS) for p in small_polygons]
+        assert_results_identical(reference(block, small_polygons), kernel)
 
 
 class TestApiSurface:
-    def test_fluent_mode_kernel(self, block, quad_polygon):
-        dataset = Dataset(GeoBlock(block.space, block.level, block.aggregates))
-        kernel = dataset.over(quad_polygon).agg("count", "sum:fare").mode("kernel").run()
-        vector = dataset.over(quad_polygon).agg("count", "sum:fare").mode("vector").run()
-        assert kernel.count == vector.count
-        assert kernel.values == vector.values
-
     def test_cached_view_execution(self, small_base, quad_polygon):
         """Filtered-view execution under the kernel model: the view's
         block answers in kernel mode and the result tier round-trips."""
@@ -244,32 +262,12 @@ class TestApiSurface:
         assert again.stats.result_cached == 1
         assert again.count == first.count
         assert again.values == first.values
-        vector = (
-            dataset.where(col("fare") > 20.0)
-            .over(quad_polygon)
-            .agg("count", "sum:fare")
-            .mode("vector")
-            .run()
+        view_block = dataset.where(col("fare") > 20.0).block
+        (want,) = reference(
+            view_block, [quad_polygon], [AggSpec("count"), AggSpec("sum", "fare")]
         )
-        assert first.count == vector.count
-        assert first.values == vector.values
-
-    def test_wire_mode_hint(self, small_base, quad_polygon):
-        from repro.api.geojson import region_to_geojson
-
-        dataset = Dataset(GeoBlock.build(small_base, LEVEL), name="points")
-        payload = {
-            "v": 2,
-            "dataset": "points",
-            "region": region_to_geojson(quad_polygon),
-            "aggregates": ["count", "sum:fare"],
-            "hints": {"mode": "kernel"},
-        }
-        envelope = dataset.query_dict(payload)
-        assert envelope["ok"] is True
-        vector = dict(payload)
-        vector["hints"] = {"mode": "vector"}
-        assert dataset.query_dict(vector)["data"]["values"] == envelope["data"]["values"]
+        assert first.count == want.count
+        assert first.values == want.values
 
 
 class TestKernelPrimitives:

@@ -9,7 +9,7 @@ from repro.api import Dataset, QueryRequest, TieredCache
 from repro.cells import EARTH
 from repro.core import CachePolicy
 from repro.geometry import Polygon
-from repro.materialize import sidecar_path
+from repro.materialize import MaterializedStore, load_views, sidecar_path
 from repro.storage import PointTable, Schema, extract
 
 LEVEL = 14
@@ -42,6 +42,28 @@ def build_dataset(kind="geoblock", seed=55, **kwargs):
 def request(**kwargs) -> QueryRequest:
     kwargs.setdefault("aggregates", AGGS)
     return QueryRequest(region=REGION, dataset="taxi", **kwargs)
+
+
+def saved_pair(tmp_path):
+    """A saved dataset whose sidecar holds two views: "hot", "other"."""
+    other = Polygon([(-74.00, 40.70), (-73.90, 40.70), (-73.90, 40.78), (-74.00, 40.78)])
+    dataset = build_dataset()
+    dataset.materialize(request(), name="hot")
+    dataset.materialize(QueryRequest(region=other, dataset="taxi", aggregates=AGGS), name="other")
+    path = tmp_path / "taxi.npz"
+    dataset.save(path)
+    return dataset, path
+
+
+def rewrite_sidecar(path, mutate) -> None:
+    """Hand-edit the sidecar next to ``path``: ``mutate(meta, arrays)``."""
+    from repro.core.serialize import read_archive_meta, write_archive
+
+    with np.load(sidecar_path(path)) as archive:
+        meta = read_archive_meta(archive)
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    mutate(meta, arrays)
+    write_archive(sidecar_path(path), meta, arrays)
 
 
 @pytest.fixture(params=["geoblock", "sharded", "adaptive"])
@@ -109,7 +131,7 @@ class TestRoundTrip:
         assert served.stats.mv_cached == 1
         block = reopened.block
         cold = block.executor.select(
-            block.plan(request().target), list(request().aggregates), mode=block.query_mode
+            block.plan(request().target), list(request().aggregates)
         )
         assert served.count == cold.count
         for key, value in cold.values.items():
@@ -146,8 +168,6 @@ class TestSidecarGuards:
         explicit pins load without a format bump, the auto-admitted
         guesses (``false``) must not come back as permanent views, and
         entries without the key (written from 1.8 on) load as ever."""
-        from repro.core.serialize import read_archive_meta, write_archive
-
         other = Polygon([(-74.00, 40.70), (-73.90, 40.70), (-73.90, 40.78), (-74.00, 40.78)])
         dataset = build_dataset()
         dataset.materialize(request(), name="old-pin")
@@ -156,14 +176,14 @@ class TestSidecarGuards:
         want = dataset.query(request())
         path = tmp_path / "taxi.npz"
         dataset.save(path)
-        with np.load(sidecar_path(path)) as archive:
-            meta = read_archive_meta(archive)
-            arrays = {name: archive[name] for name in archive.files if name != "meta"}
-        assert all("pinned" not in view for view in meta["views"])
-        by_name = {view["name"]: view for view in meta["views"]}
-        by_name["old-pin"]["pinned"] = True
-        by_name["old-auto"]["pinned"] = False
-        write_archive(sidecar_path(path), meta, arrays)
+
+        def pre_1_8(meta, arrays):
+            assert all("pinned" not in view for view in meta["views"])
+            by_name = {view["name"]: view for view in meta["views"]}
+            by_name["old-pin"]["pinned"] = True
+            by_name["old-auto"]["pinned"] = False
+
+        rewrite_sidecar(path, pre_1_8)
 
         reopened = Dataset.open(path, name="taxi")
         assert sorted(view.name for view in reopened.materialized.views()) == ["new", "old-pin"]
@@ -173,6 +193,46 @@ class TestSidecarGuards:
         for key, value in want.values.items():
             assert np.float64(served.values[key]).tobytes() == np.float64(value).tobytes()
         assert reopened.query(request(count_only=True, aggregates=())).stats.mv_cached == 0
+
+    def test_pre_1_9_sidecar_ignores_mode_and_collapses_twins(self, tmp_path):
+        """Sidecars written before 1.9 carry a ``mode`` per entry.  The
+        key is ignored, and one region pinned under "kernel" and again
+        under "vector" now shares a key: it loads as one view, the
+        first, under its name."""
+        dataset, path = saved_pair(tmp_path)
+        want = dataset.query(request())
+
+        def legacy(meta, arrays):
+            hot, other = meta["views"]
+            hot["mode"] = "kernel"
+            other["mode"] = "vector"
+            meta["views"].append(dict(hot, name="hot-vector", mode="vector"))
+            arrays["covering_2"] = arrays["covering_0"]
+            arrays["records_2"] = arrays["records_0"]
+
+        rewrite_sidecar(path, legacy)
+        store = MaterializedStore()
+        loaded = load_views(sidecar_path(path), store, dataset.block.aggregates)
+        assert loaded == len(store) == store.admissions == 2
+        assert [view.name for view in store.views()] == ["hot", "other"]
+
+        reopened = Dataset.open(path, name="taxi")
+        served = reopened.query(request())
+        assert served.stats.mv_cached == 1
+        assert served.count == want.count
+        for key, value in want.values.items():
+            assert np.float64(served.values[key]).tobytes() == np.float64(value).tobytes()
+
+    def test_corrupt_entry_loads_nothing(self, tmp_path):
+        """All-or-nothing: a malformed entry *after* a good one must
+        not leave the good one admitted behind a return value of 0."""
+        dataset, path = saved_pair(tmp_path)
+        rewrite_sidecar(path, lambda meta, arrays: meta["views"][1].pop("aggs"))
+        store = MaterializedStore()
+        loaded = load_views(sidecar_path(path), store, dataset.block.aggregates)
+        assert loaded == len(store) == store.admissions == 0
+        assert store.views() == []
+        assert len(Dataset.open(path).materialized) == 0
 
     def test_missing_sidecar_is_fine(self, tmp_path):
         dataset = build_dataset()

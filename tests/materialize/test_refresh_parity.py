@@ -83,9 +83,7 @@ def cold_answer(dataset, req):
     if req.count_only:
         return {}, block.count(req.target)
     plan = block.plan(req.target)
-    result = block.executor.select(
-        plan, list(req.aggregates), mode=req.mode or block.query_mode
-    )
+    result = block.executor.select(plan, list(req.aggregates))
     return result.values, result.count
 
 

@@ -42,7 +42,6 @@ def stub_view(name, key):
         name=name,
         region=REGION,
         aggs=(),
-        mode=None,
         trie_hint=False,
         count_only=True,
         key=key,

@@ -95,13 +95,17 @@ class TestMaterializeOp:
         # group_by is not part of the materialize shape at all.
         assert envelope["error"]["code"] == "bad_request"
 
-    def test_scalar_mode_rejected(self):
+    def test_scalar_block_rejected(self):
+        """Only the experiment harness switches a block to the scalar
+        model; such a block has no re-fold parity gate, so it refuses
+        to pin value queries (counts are model-independent)."""
         service = make_service()
-        envelope = service.run_dict(
-            wire(op="materialize", hints={"mode": "scalar"})
-        )
+        service.dataset("taxi").block.query_mode = "scalar"
+        envelope = service.run_dict(wire(op="materialize"))
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == "unsupported_op"
+        counted = service.run_dict(wire(op="materialize", hints={"count_only": True}))
+        assert counted["ok"] is True
 
     def test_v1_rejected(self):
         service = make_service()

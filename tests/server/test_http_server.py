@@ -120,6 +120,8 @@ class TestErrorMapping:
                 400,
                 "bad_aggregate",
             ),
+            # The retired execution-model hint is an unknown hint.
+            (dict(wire_query(), hints={"mode": "kernel"}), HTTP_STATUS["bad_hint"], "bad_hint"),
         ],
     )
     def test_api_errors_map_to_statuses(self, client, payload, status, code):
