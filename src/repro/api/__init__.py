@@ -15,8 +15,8 @@ hand-assembling ``extract`` -> ``GeoBlock.build`` -> ``AggSpec`` lists:
 * :class:`QueryRequest` / :class:`QueryResponse` -- declarative v2
   queries (region or ``group_by`` FeatureCollection; ``where`` filter
   predicates; aggregates as compact ``"sum:fare"`` strings;
-  planner/executor hints) that round-trip to/from plain JSON dicts,
-  with v1 dicts still accepted and up-converted;
+  planner/executor hints) that round-trip to/from plain JSON dicts
+  (``"v"`` may be omitted; any other version is rejected);
 * :class:`ApiError` -- every boundary failure, with a machine-readable
   code and the ``{"ok": false, "error": ...}`` envelope.
 

@@ -450,7 +450,7 @@ def _append_batch(scale: Scale, base) -> list[dict]:  # noqa: ANN001 - BaseData
 
 def _append_build(scale: Scale) -> Prepared:
     """The write path: build a fresh block and fold a batch of new rows
-    through ``Dataset.append`` (trie/dirty-shard bookkeeping included);
+    through ``Dataset.append`` (trie refresh and shard splices included);
     a fresh build per sample keeps repeats independent."""
     from repro.api import Dataset
 
@@ -782,22 +782,18 @@ def _skewed_only_workload(scale: Scale):
     return _CONTEXT_CACHE[key]
 
 
-def _sharded_layout_block(scale: Scale, layout: str):
-    """A warmed 32-shard curve block or a default prefix block (the
-    pre-curve layout), over the same base data."""
-    key = ("layout-block", scale.config.nyc_size, scale.config.seed, layout)
+def _curve_sharded_block(scale: Scale):
+    """A warmed 32-shard curve block over the NYC base data."""
+    key = ("curve-block", scale.config.nyc_size, scale.config.seed)
     if key not in _CONTEXT_CACHE:
         from repro.engine.shards import ShardedGeoBlock
 
         base = nyc_base(scale.config)
         level = scale.config.nyc_level(scale.config.block_level)
-        if layout == "curve":
-            # Explicit shard count: the cost model sizes to the pool on
-            # this host, which would leave nothing to prune on small CI
-            # runners; routing quality is what this pair measures.
-            block = ShardedGeoBlock.build(base, level, shard_count=32)
-        else:
-            block = ShardedGeoBlock.build(base, level, layout="prefix")
+        # Explicit shard count: the cost model sizes to the pool on this
+        # host, which would leave nothing to prune on small CI runners;
+        # routing quality is what the pruning scenario measures.
+        block = ShardedGeoBlock.build(base, level, shard_count=32)
         warm_caches(block, _skewed_only_workload(scale))
         _CONTEXT_CACHE[key] = block
     return _CONTEXT_CACHE[key]
@@ -815,55 +811,6 @@ def _bit_identical_results(wants, gots) -> bool:  # noqa: ANN001
     return True
 
 
-def _hilbert_batch_build(scale: Scale) -> Prepared:
-    """Curve (Hilbert key-range) sharding vs the legacy prefix layout on
-    the skewed workload, both through ``run_batch``.  Answers are gated
-    bit-identical; the speedup is recorded (routing prunes whole shards
-    before they reach the pool, prefix fans out everywhere)."""
-    from time import perf_counter
-
-    curve = _sharded_layout_block(scale, "curve")
-    prefix = _sharded_layout_block(scale, "prefix")
-    workload = _skewed_only_workload(scale)
-
-    def timed(block, rounds: int = 3):  # noqa: ANN001, ANN202
-        times = []
-        results = None
-        for _ in range(rounds):
-            start = perf_counter()
-            results = run_workload_batched(block, workload)[1]
-            times.append(perf_counter() - start)
-        return sorted(times)[len(times) // 2], results
-
-    def thunk() -> dict:
-        curve_s, curve_results = timed(curve)
-        prefix_s, prefix_results = timed(prefix)
-        shards_total = sum(result.shards_total for result in curve_results)
-        shards_pruned = sum(result.shards_pruned for result in curve_results)
-        return {
-            "curve_s": curve_s,
-            "prefix_s": prefix_s,
-            "identical": _bit_identical_results(prefix_results, curve_results),
-            "pruning_rate": shards_pruned / max(shards_total, 1),
-            "total_count": float(sum(result.count for result in curve_results)),
-        }
-
-    def finalize(last: dict) -> dict:
-        return {
-            "metrics": {
-                "queries": float(len(workload)),
-                "total_count": last["total_count"],
-                "curve_s": last["curve_s"],
-                "prefix_s": last["prefix_s"],
-                "speedup_vs_prefix": last["prefix_s"] / max(last["curve_s"], 1e-12),
-                "pruning_rate": last["pruning_rate"],
-                "identical": 1.0 if last["identical"] else 0.0,
-            }
-        }
-
-    return Prepared(thunk, finalize)
-
-
 def _sharded_pruning_build(scale: Scale) -> Prepared:
     """The skewed workload served from a shard_count=32 curve dataset
     (equi-depth split dedup may yield fewer shards on clustered data)
@@ -873,7 +820,7 @@ def _sharded_pruning_build(scale: Scale) -> Prepared:
     submitted."""
     from repro.api import Dataset, GeoService, requests_from_workload
 
-    block = _sharded_layout_block(scale, "curve")
+    block = _curve_sharded_block(scale)
     workload = _skewed_only_workload(scale)
     plain = _block(scale, "plain")
     want_results = run_workload(plain, workload)[1]
@@ -907,26 +854,6 @@ def _sharded_pruning_build(scale: Scale) -> Prepared:
         }
 
     return Prepared(thunk, finalize)
-
-
-register(
-    Scenario(
-        name="engine_batch_hilbert",
-        group="engine",
-        description=(
-            "curve (Hilbert) sharding vs the legacy prefix layout on the "
-            "skewed workload; asserts bit-identical answers and records the "
-            "batch speedup and pruning rate"
-        ),
-        build=_hilbert_batch_build,
-        repeats=1,
-        warmup=1,
-        warn_ratio=2.5,
-        fail_ratio=5.0,
-        strict_metrics=("queries", "total_count", "identical", "pruning_rate"),
-        metric_bounds={"identical": (1.0, 1.0)},
-    )
-)
 
 
 register(

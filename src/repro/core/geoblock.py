@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from repro.cells import cellid
 from repro.cells.space import CellSpace
 from repro.cells.union import CellUnion
-from repro.core.aggregates import Accumulator, AggSpec, CellAggregates
+from repro.core.aggregates import AggSpec, CellAggregates
 from repro.core.header import GlobalHeader
 from repro.engine.executor import EXECUTION_MODES, Executor, QueryResult, batch_items
 from repro.engine.planner import Planner, QueryTarget
@@ -230,17 +230,6 @@ class GeoBlock:
         the ``lastAgg`` successor hint); see the engine executor."""
         return self._executor.select_listing1(self.plan(target), aggs)
 
-    def scan_range_scalar(
-        self,
-        qmin: int,
-        qmax: int,
-        accumulator: Accumulator,
-        last_agg: int = -1,
-    ) -> int:
-        """Listing 1's inner loop over one query cell's key range
-        (delegates to the engine executor)."""
-        return self._executor.scan_range_scalar(qmin, qmax, accumulator, last_agg)
-
     # -- batched execution ---------------------------------------------------------
 
     def run_batch(
@@ -284,9 +273,6 @@ class GeoBlock:
         return self._executor.run_grouped(items)
 
     # -- helpers ----------------------------------------------------------------------
-
-    def _validate_aggs(self, aggs: Sequence[AggSpec]) -> None:
-        self._executor.validate_aggs(aggs)
 
     def _note_update(self, cell: int, row: int, in_place: bool) -> None:
         """Hook for ``core/updates.py``; sharded blocks adjust their

@@ -11,12 +11,12 @@ the block-kind discriminator (``GeoBlock.kind`` in memory, the ``kind``
 meta field on disk):
 
 * ``geoblock`` -- a plain block (version-1 files load as this kind);
-* ``sharded``  -- a :class:`~repro.engine.shards.ShardedGeoBlock`; the
-  layout rides along -- curve-key split points for the default
-  ``"curve"`` layout, the shard level for the legacy ``"prefix"``
-  layout -- and the partition itself is re-derived from the sorted keys
-  on load (it is pure bookkeeping).  Version-2 sharded files carry only
-  a shard level and load as the prefix layout they were built with;
+* ``sharded``  -- a :class:`~repro.engine.shards.ShardedGeoBlock`; its
+  curve-key split points ride along and the partition itself is
+  re-derived from the sorted keys on load (it is pure bookkeeping).  A
+  sharded file without ``shard_splits`` (version 2, or a version-3 file
+  written with the retired prefix layout) loads with cost-model splits:
+  answers do not depend on the partition;
 * ``adaptive`` -- an :class:`~repro.core.adaptive.AdaptiveGeoBlock`
   including its AggregateTrie (node + record regions, Figure 7), the
   accumulated query statistics, and the cache policy.
@@ -48,7 +48,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.storage.schema import ColumnKind, ColumnSpec, Schema
 
 #: Bumped whenever the on-disk layout changes.  Version 3 added the
-#: sharded-block layout metadata (curve splits vs. legacy prefix).
+#: sharded-block layout metadata (``layout`` and ``shard_splits``).
 FORMAT_VERSION = 3
 
 #: Versions this module can still read.
@@ -72,15 +72,12 @@ def _block_meta(block: GeoBlock, kind: str) -> dict:
         "predicate": repr(block.predicate),
     }
     if block.kind == "sharded":
-        meta["layout"] = block.layout  # type: ignore[attr-defined]
-        if block.layout == "prefix":  # type: ignore[attr-defined]
-            meta["shard_level"] = block.shard_level  # type: ignore[attr-defined]
-        else:
-            # Full split-bounds array (JSON ints are exact well past
-            # 2**60), so the loaded partition is byte-for-byte the one
-            # that was saved, whatever machine opens the file.
-            splits = block.splits  # type: ignore[attr-defined]
-            meta["shard_splits"] = None if splits is None else [int(b) for b in splits]
+        meta["layout"] = "curve"
+        # Full split-bounds array (JSON ints are exact well past 2**60),
+        # so the loaded partition is byte-for-byte the one that was
+        # saved, whatever machine opens the file.
+        splits = block.splits  # type: ignore[attr-defined]
+        meta["shard_splits"] = None if splits is None else [int(b) for b in splits]
     return meta
 
 
@@ -142,7 +139,7 @@ def read_archive_meta(archive) -> dict:  # noqa: ANN001 - NpzFile
 def save(block: GeoBlock | AdaptiveGeoBlock, path: str | pathlib.Path) -> None:
     """Persist any block to ``path`` (``.npz``), dispatching on kind.
 
-    Plain and sharded blocks record their kind (and shard level);
+    Plain and sharded blocks record their kind (and split points);
     adaptive blocks additionally persist the AggregateTrie, the
     accumulated query statistics, and the cache policy, so a later
     :func:`load` restores the cache exactly.
@@ -202,19 +199,11 @@ def _read_block(archive, meta: dict, kind: str) -> GeoBlock:  # noqa: ANN001
     if kind == "sharded":
         from repro.engine.shards import ShardedGeoBlock
 
-        # Pre-v3 sharded files carry only a shard level: they were
-        # built with the prefix layout and load back as exactly that.
-        layout = meta.get("layout", "prefix")
-        if layout == "prefix":
-            return ShardedGeoBlock(
-                space, int(meta["level"]), aggregates, shard_level=int(meta["shard_level"])
-            )
         splits = meta.get("shard_splits")
         return ShardedGeoBlock(
             space,
             int(meta["level"]),
             aggregates,
-            layout="curve",
             splits=None if splits is None else [int(b) for b in splits],
         )
     return GeoBlock(space, int(meta["level"]), aggregates)

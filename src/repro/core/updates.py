@@ -17,8 +17,8 @@ the layout admits updates, and this module implements that sketch:
 Batched usage is recommended, exactly as the paper suggests.
 
 Sharded blocks (:mod:`repro.engine.shards`) get a post-update callback
-(``_note_update``) so only the dirty shard's bounds are adjusted --
-never a full re-partition.
+(``_note_update``): a spliced row grows its owning shard and shifts the
+later ones -- never a full re-partition.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def apply_update(
     aggregates.data_version += 1
     if refresh:
         refresh_header(block)
-    # Sharded blocks adjust only the dirty shard's bounds here.
+    # Sharded blocks splice their shard bounds here.
     block._note_update(cell, row, in_place)
     return in_place
 
@@ -142,7 +142,7 @@ def append_rows(handle, rows: "Sequence[Mapping[str, float]]") -> tuple[int, int
 
     Dispatches per row: adaptive handles additionally refresh every
     cached trie ancestor (:func:`apply_update_adaptive`); sharded
-    blocks mark dirty shards through their ``_note_update`` hook.
+    blocks splice their shard bounds through their ``_note_update`` hook.
     Rows are validated *before* anything is applied, so a malformed row
     never leaves the block half-updated.  Returns ``(appended,
     in_place)`` -- how many rows were folded, and how many landed in an

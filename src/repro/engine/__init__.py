@@ -18,10 +18,10 @@ runners -- flows through this package's two-stage pipeline:
    for every path.
 
 :mod:`repro.engine.shards` adds sharded blocks whose batch execution
-fans out across a thread pool and whose updates touch only dirty
-shards; by default shards are equi-depth ranges of the space-filling
-curve key (:mod:`repro.cells.sfc`), with split points picked by the
-cost model (:mod:`repro.engine.cost`) and per-query shard pruning done
+fans out across a thread pool and whose updates splice into the
+partition; shards are equi-depth ranges of the space-filling curve
+key (:mod:`repro.cells.sfc`), with split points picked by the cost
+model (:mod:`repro.engine.cost`) and per-query shard pruning done
 by the :class:`~repro.engine.router.PartitionRouter`
 (:mod:`repro.engine.router`).  The engine is the seam later scaling
 work (async serving, multi-backend storage, distributed sharding)

@@ -15,7 +15,7 @@ pruning only removes shards whose key range no covering cell touches.
 
 The per-block router caches the shard interval arrays and invalidates
 on the block's ``partition_epoch``, which the block bumps whenever the
-shard table changes (rebuild, splice, repartition).  The cache is one
+shard table changes (rebuild, splice).  The cache is one
 tuple swapped atomically, so concurrent queries on the shared thread
 pool never observe a half-updated layout.
 """

@@ -3,21 +3,14 @@
 A :class:`ShardedGeoBlock` behaves exactly like a plain
 :class:`~repro.core.geoblock.GeoBlock` -- same construction, query, and
 serialisation API -- but partitions its sorted aggregate array into
-independent shards.  Two layouts exist:
-
-* ``"curve"`` (the default): shards are **equi-depth ranges of the
-  space-filling-curve key space**.  The aggregate array is sorted by
-  cell id, and cell-id order *is* curve order (:mod:`repro.cells.sfc`),
-  so any key interval is a contiguous row range -- the partition stays
-  zero-copy -- while the split points adapt to the data: the cost model
-  (:mod:`repro.engine.cost`) places them at tuple-weighted quantiles of
-  the key distribution, so skewed data still yields balanced shards.
-  Explicit ``shard_count=`` / ``splits=`` overrides keep layouts
-  reproducible.
-* ``"prefix"`` (legacy, still fully supported and what v2 archives load
-  as): shards keyed by the cell-ID prefix at ``shard_level``.  Balances
-  poorly on skew and leaves no key-range gaps a router can exploit
-  beyond the prefixes present.
+independent shards: **equi-depth ranges of the space-filling-curve key
+space**.  The aggregate array is sorted by cell id, and cell-id order
+*is* curve order (:mod:`repro.cells.sfc`), so any key interval is a
+contiguous row range -- the partition stays zero-copy -- while the
+split points adapt to the data: the cost model (:mod:`repro.engine.cost`)
+places them at tuple-weighted quantiles of the key distribution, so
+skewed data still yields balanced shards.  Explicit ``shard_count=`` /
+``splits=`` overrides keep layouts reproducible.
 
 Every shard carries both its row range ``[lo, hi)`` and its curve-key
 range ``[key_lo, key_hi)``; the latter is what the
@@ -36,15 +29,10 @@ What sharding buys:
 * **partition pruning**: clustered workloads touch a handful of curve
   ranges, and the router proves the remaining shards disjoint from
   int64 interval arithmetic alone;
-* **incremental updates touch only dirty shards**: an update through
-  ``core/updates.py`` adjusts the affected shard's bounds (and shifts
+* **incremental updates splice, never re-partition**: a new cell
+  spliced in by ``core/updates.py`` grows its owning shard (and shifts
   its successors) in O(num_shards) instead of re-deriving the whole
-  partition, and records the shard as dirty for downstream consumers
-  (e.g. per-shard persistence);
-* it is the seam later scaling work (adaptive repartitioning --
-  :meth:`ShardedGeoBlock.maybe_repartition` -- per-shard storage
-  backends, distributed placement) plugs into, without touching the
-  query path.
+  partition.
 
 Caching: a sharded block plans through the same tiered cache handle as
 every other block (:mod:`repro.cache`).  The covering and result tiers
@@ -56,10 +44,9 @@ the source block's cache binding, so a service-configured private
 cache survives re-wrapping.
 
 Note on float determinism: results are bit-identical to the unsharded
-block, including sums, under either layout.  Ranges contained in one
-shard (the common case) fan out per shard; ranges *spanning* a shard
-boundary are reduced over the full row range of the shared arrays
--- the partition is zero-copy, so the full range is directly
+block, including sums.  Ranges contained in one shard (the common
+case) fan out per shard; ranges *spanning* a shard boundary are
+reduced over the full row range of the shared arrays -- the partition is zero-copy, so the full range is directly
 addressable -- which reproduces the plain block's fold order exactly.
 Merging rounded per-shard float partials (even with ``math.fsum``)
 cannot do that: the unsharded ``np.sum`` fold has its own rounding
@@ -93,17 +80,6 @@ from repro.storage.etl import PHASE_BUILDING, BaseData
 from repro.storage.expr import ALWAYS_TRUE, Predicate
 from repro.util.timing import Stopwatch
 
-#: The shard layouts: equi-depth curve-key ranges (default) and the
-#: legacy fixed cell-ID prefix partition.
-LAYOUTS = ("curve", "prefix")
-
-#: Prefix-layout default shard depth below the block's root cell.  Data
-#: spans vary wildly (a city block vs. a continent), so the default
-#: derives the prefix level from the data extent: three levels below
-#: the root cell yields up to 64 shards that actually partition the
-#: data.
-SHARD_LEVEL_OFFSET = 3
-
 #: Below this many segments a thread pool costs more than it saves;
 #: the executor then reduces inline.
 MIN_RANGES_FOR_FANOUT = 32
@@ -113,27 +89,19 @@ class Shard:
     """One contiguous row range of the block's aggregate arrays, owning
     one half-open curve-key range."""
 
-    __slots__ = ("lo", "hi", "key_lo", "key_hi", "prefix", "dirty")
+    __slots__ = ("lo", "hi", "key_lo", "key_hi")
 
-    def __init__(
-        self, lo: int, hi: int, key_lo: int, key_hi: int, prefix: int | None = None
-    ) -> None:
+    def __init__(self, lo: int, hi: int, key_lo: int, key_hi: int) -> None:
         self.lo = lo
         self.hi = hi
         self.key_lo = key_lo  #: first leaf curve key owned (inclusive)
         self.key_hi = key_hi  #: one past the last leaf curve key owned
-        self.prefix = prefix  #: prefix cell id (prefix layout only)
-        self.dirty = False  #: touched by an update since the last sweep
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flag = ", dirty" if self.dirty else ""
-        head = f"prefix={self.prefix:#x}" if self.prefix is not None else (
-            f"keys=[{self.key_lo}, {self.key_hi})"
-        )
-        return f"Shard({head}, rows=[{self.lo}, {self.hi}){flag})"
+        return f"Shard(keys=[{self.key_lo}, {self.key_hi}), rows=[{self.lo}, {self.hi}))"
 
 
 class ShardedExecutor(Executor):
@@ -209,8 +177,7 @@ class ShardedExecutor(Executor):
 
 
 class ShardedGeoBlock(GeoBlock):
-    """A GeoBlock partitioned into contiguous shards by curve key
-    (default) or cell-ID prefix (legacy).
+    """A GeoBlock partitioned into contiguous shards by curve key.
 
     Drop-in replacement: every inherited query path works unchanged
     (shards are ranges over the same sorted arrays); only batch
@@ -223,25 +190,11 @@ class ShardedGeoBlock(GeoBlock):
         level: int,
         aggregates: CellAggregates,
         predicate: Predicate = ALWAYS_TRUE,
-        shard_level: int | None = None,
         max_workers: int | None = None,
-        layout: str | None = None,
         shard_count: int | None = None,
         splits: Sequence[int] | np.ndarray | None = None,
         cost: CostModel | None = None,
     ) -> None:
-        if shard_level is not None and shard_level < 0:
-            raise BuildError("shard level must be non-negative")
-        if layout is None:
-            # Passing shard_level selects the legacy prefix layout --
-            # this is what every pre-v3 call site means by it.
-            layout = "prefix" if shard_level is not None else "curve"
-        if layout not in LAYOUTS:
-            raise BuildError(f"unknown shard layout {layout!r}; use one of {LAYOUTS}")
-        if layout == "prefix" and (shard_count is not None or splits is not None):
-            raise BuildError("shard_count/splits apply to the curve layout only")
-        if layout == "curve" and shard_level is not None:
-            raise BuildError("shard_level applies to the prefix layout only")
         if shard_count is not None and splits is not None:
             raise BuildError("pass shard_count or explicit splits, not both")
         if shard_count is not None and shard_count <= 0:
@@ -249,19 +202,12 @@ class ShardedGeoBlock(GeoBlock):
         self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
         self._shards: list[Shard] = []
-        self._layout = layout
-        self._shard_level: int | None = None  # resolved below (prefix layout)
         self._shard_count_hint = shard_count
         self._splits = None if splits is None else np.asarray(splits, dtype=np.int64)
         self._cost = cost or CostModel()
         self._partition_epoch = 0
         self._router: PartitionRouter | None = None
         super().__init__(space, level, aggregates, predicate)
-        if layout == "prefix":
-            if shard_level is None:
-                root_level = 0 if self._header.is_empty else cellid.level_of(self.root_cell())
-                shard_level = root_level + SHARD_LEVEL_OFFSET
-            self._shard_level = min(shard_level, level)
         self._rebuild_shards()
 
     # -- construction ----------------------------------------------------
@@ -273,15 +219,12 @@ class ShardedGeoBlock(GeoBlock):
         level: int,
         predicate: Predicate = ALWAYS_TRUE,
         stopwatch: Stopwatch | None = None,
-        shard_level: int | None = None,
         max_workers: int | None = None,
-        layout: str | None = None,
         shard_count: int | None = None,
         splits: Sequence[int] | np.ndarray | None = None,
         cost: CostModel | None = None,
     ) -> "ShardedGeoBlock":
-        """Build from sorted base data, then partition by curve key
-        (or by prefix when ``shard_level``/``layout="prefix"`` asks)."""
+        """Build from sorted base data, then partition by curve key."""
         watch = stopwatch or Stopwatch()
         with watch.phase(PHASE_BUILDING):
             filtered = base if isinstance(predicate, type(ALWAYS_TRUE)) else base.filtered(predicate)
@@ -291,9 +234,7 @@ class ShardedGeoBlock(GeoBlock):
             level,
             aggregates,
             predicate,
-            shard_level=shard_level,
             max_workers=max_workers,
-            layout=layout,
             shard_count=shard_count,
             splits=splits,
             cost=cost,
@@ -303,9 +244,7 @@ class ShardedGeoBlock(GeoBlock):
     def from_block(
         cls,
         block: GeoBlock,
-        shard_level: int | None = None,
         max_workers: int | None = None,
-        layout: str | None = None,
         shard_count: int | None = None,
         splits: Sequence[int] | np.ndarray | None = None,
         cost: CostModel | None = None,
@@ -316,9 +255,7 @@ class ShardedGeoBlock(GeoBlock):
             block.level,
             block.aggregates,
             block.predicate,
-            shard_level=shard_level,
             max_workers=max_workers,
-            layout=layout,
             shard_count=shard_count,
             splits=splits,
             cost=cost,
@@ -335,16 +272,8 @@ class ShardedGeoBlock(GeoBlock):
         same routing boundaries, recomputed row bounds.
         """
         coarse = super().coarsened(level)
-        if self._layout == "prefix":
-            assert self._shard_level is not None
-            return ShardedGeoBlock.from_block(
-                coarse,
-                shard_level=min(self._shard_level, level),
-                max_workers=self._max_workers,
-            )
         return ShardedGeoBlock.from_block(
             coarse,
-            layout="curve",
             splits=self._splits,
             shard_count=self._shard_count_hint if self._splits is None else None,
             max_workers=self._max_workers,
@@ -357,24 +286,15 @@ class ShardedGeoBlock(GeoBlock):
     def _rebuild_shards(self) -> None:
         """Derive the partition from the sorted key array.
 
-        Curve layout: split points come from the cost model's equi-depth
-        plan on first derivation and are *kept* across rebuilds, so a
-        re-partition after appends preserves the routing boundaries (and
-        therefore every serialized layout) -- only the row bounds move.
+        Split points come from the cost model's equi-depth plan on first
+        derivation and are *kept* across rebuilds, so a re-partition
+        after appends preserves the routing boundaries (and therefore
+        every serialized layout) -- only the row bounds move.
         """
         self._partition_epoch += 1
         keys = self._aggregates.keys
         if keys.size == 0:
             self._shards = []
-            return
-        if self._layout == "prefix":
-            prefixes = cellops.ancestors_at_level(keys, self._shard_level)
-            boundaries = np.flatnonzero(prefixes[1:] != prefixes[:-1]) + 1
-            bounds = [0, *boundaries.tolist(), int(keys.size)]
-            self._shards = [
-                self._prefix_shard(int(prefixes[bounds[i]]), bounds[i], bounds[i + 1])
-                for i in range(len(bounds) - 1)
-            ]
             return
         bounds = self._splits
         if bounds is None:
@@ -394,18 +314,6 @@ class ShardedGeoBlock(GeoBlock):
             for i in range(len(row_bounds) - 1)
         ]
 
-    @staticmethod
-    def _prefix_shard(prefix: int, lo: int, hi: int) -> Shard:
-        """A prefix-layout shard: its key range is the prefix cell's
-        leaf span, so the router sees the gaps between present prefixes."""
-        return Shard(
-            lo,
-            hi,
-            cellid.range_min(prefix) >> 1,
-            ((cellid.range_max(prefix) >> 1) + 1),
-            prefix=prefix,
-        )
-
     # -- accessors -------------------------------------------------------
 
     @property
@@ -414,19 +322,9 @@ class ShardedGeoBlock(GeoBlock):
         return "sharded"
 
     @property
-    def layout(self) -> str:
-        return self._layout
-
-    @property
-    def shard_level(self) -> int | None:
-        """Prefix depth of the legacy layout (``None`` under curve)."""
-        return self._shard_level
-
-    @property
     def splits(self) -> np.ndarray | None:
-        """Curve-layout split bounds (full ``[0, ..., KEY_SPACE]``
-        array; ``None`` under the prefix layout or before any keys
-        exist)."""
+        """Split bounds (full ``[0, ..., KEY_SPACE]`` array; ``None``
+        before any keys exist)."""
         return self._splits
 
     @property
@@ -489,112 +387,35 @@ class ShardedGeoBlock(GeoBlock):
     def __exit__(self, *exc_info) -> None:  # noqa: ANN002
         self.close()
 
-    def dirty_shards(self) -> list[Shard]:
-        return [shard for shard in self._shards if shard.dirty]
-
-    def sweep_dirty(self) -> int:
-        """Clear dirty flags (after persisting/merging); returns how many."""
-        dirty = 0
-        for shard in self._shards:
-            if shard.dirty:
-                shard.dirty = False
-                dirty += 1
-        return dirty
-
     # -- update bookkeeping ----------------------------------------------
-
-    def maybe_repartition(self) -> bool:
-        """Adaptive-repartition seam (currently a no-op).
-
-        Called after every splice so future work can rebalance once
-        appends skew the equi-depth property past a threshold (e.g.
-        largest shard > k x median).  A real implementation would clear
-        ``_splits`` and call ``_rebuild_shards()``; answers are
-        partition-independent, so rebalancing here can never change
-        results.  Returns True when a repartition happened.
-        """
-        return False
 
     def _note_update(self, cell: int, row: int, in_place: bool) -> None:
         """Adjust shard bounds after ``core/updates.py`` touched ``row``.
 
-        In-place folds leave the partition intact (only the owning shard
-        turns dirty, and the router cache stays valid); a spliced row
-        grows the owning shard and shifts every later shard by one --
+        In-place folds leave the partition intact; a spliced row grows
+        the owning shard and shifts every later shard by one --
         O(num_shards), never a re-partition -- and bumps the partition
-        epoch, because row bounds moved under the router.  Appends route
-        by curve key: the owner is the shard whose key range holds the
-        new cell's leaf key (the curve layout's full-key-space bounds
-        guarantee one exists).
+        epoch, because row bounds moved under the router.  The owner is
+        the shard whose key range holds the new cell's leaf key (the
+        bounds span the whole key space, so one exists).
         """
         if in_place:
-            for shard in self._shards:
-                if shard.lo <= row < shard.hi:
-                    shard.dirty = True
-                    return
             return
         self._partition_epoch += 1
-        if self._layout == "curve":
-            self._splice_curve(cell, row)
-        else:
-            self._splice_prefix(cell, row)
-        self.maybe_repartition()
-
-    def _splice_curve(self, cell: int, row: int) -> None:
         pos = cellid.range_min(cell) >> 1
         for index, shard in enumerate(self._shards):
             if shard.key_lo <= pos < shard.key_hi:
                 if row < shard.lo or row > shard.hi:
                     break  # inconsistent hint; fall back to a re-partition
                 shard.hi += 1
-                shard.dirty = True
                 for later in self._shards[index + 1 :]:
                     later.lo += 1
                     later.hi += 1
                 return
-        self._rebuild_and_mark(row)
-
-    def _splice_prefix(self, cell: int, row: int) -> None:
-        prefix = cellid.parent(cell, self._shard_level)
-        for index, shard in enumerate(self._shards):
-            if shard.prefix == prefix:
-                if row < shard.lo or row > shard.hi:
-                    break  # inconsistent hint; fall back to a re-partition
-                shard.hi += 1
-                shard.dirty = True
-                for later in self._shards[index + 1 :]:
-                    later.lo += 1
-                    later.hi += 1
-                return
-            if shard.prefix > prefix:
-                new = self._prefix_shard(prefix, row, row + 1)
-                new.dirty = True
-                self._shards.insert(index, new)
-                for later in self._shards[index + 1 :]:
-                    later.lo += 1
-                    later.hi += 1
-                return
-        else:
-            if self._shards and row == self._shards[-1].hi:
-                new = self._prefix_shard(prefix, row, row + 1)
-                new.dirty = True
-                self._shards.append(new)
-                return
-        self._rebuild_and_mark(row)
-
-    def _rebuild_and_mark(self, row: int) -> None:
         self._rebuild_shards()
-        for shard in self._shards:
-            if shard.lo <= row < shard.hi:
-                shard.dirty = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        detail = (
-            f"shard_level={self._shard_level}"
-            if self._layout == "prefix"
-            else "layout=curve"
-        )
         return (
-            f"ShardedGeoBlock(level={self._level}, {detail}, "
+            f"ShardedGeoBlock(level={self._level}, "
             f"shards={self.num_shards}, cells={self.num_cells})"
         )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import warnings
 
 import pytest
 
@@ -64,9 +63,7 @@ class TestRetiredModeHint:
     def test_versionless_v1_payload(self, service):
         legacy = payload(hints=self.HINTS)
         del legacy["v"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert_bad_mode_hint(service.run_dict(legacy))
+        assert_bad_mode_hint(service.run_dict(legacy))
 
 
 class TestNoModeAnywhere:

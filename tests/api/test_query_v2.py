@@ -1,15 +1,13 @@
-"""Query v2: grouped requests, filtered views, envelopes, deprecation."""
+"""Query v2: grouped requests, filtered views, the one wire envelope."""
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.api.request as request_module
 from repro.api import (
     ApiError,
     Dataset,
@@ -73,7 +71,8 @@ def dataset(request, small_base, small_polygons) -> Dataset:
             built.handle.select(polygon, AGGS)
         built.handle.adapt()
     elif kind == "sharded":
-        built = Dataset.build(small_base, LEVEL, kind, name="small", shard_level=11)
+        built = Dataset.build(small_base, LEVEL, kind, name="small", shard_count=8)
+        assert built.handle.num_shards >= 4
     else:
         built = Dataset.build(small_base, LEVEL, kind, name="small")
     return built
@@ -160,14 +159,14 @@ class TestFeatureParsing:
 class TestGroupByParity:
     def test_grouped_bit_identical_to_sequential_v1(self, dataset, small_polygons):
         """The acceptance gate: one v2 group-by over N features answers
-        bit-identically to N sequential v1 single-region requests, and
+        bit-identically to N sequential single-region requests, and
         the grouped pass reuses the planner's covering cache across
         features (asserted via QueryStats.covering_cached)."""
         fc = collection(small_polygons)
         grouped_request = QueryRequest(
             group_by=fc, aggregates=AGG_STRINGS, dataset="small"
         )
-        # Sequential v1 requests over the same compiled regions (the
+        # Sequential single-region requests over the same compiled regions (the
         # dashboard's old N-request pattern; same identities warm the
         # planner's covering LRU).
         sequential = [
@@ -250,7 +249,7 @@ class TestFilteredViews:
             LEVEL,
             dataset.kind,
             predicate=col("distance") >= 4,
-            shard_level=11 if dataset.kind == "sharded" else None,
+            shard_count=8 if dataset.kind == "sharded" else None,
         )
         for polygon in small_polygons[:4]:
             got = dataset.query(
@@ -276,7 +275,7 @@ class TestFilteredViews:
         assert view.level == dataset.level
         assert view.is_view and not dataset.is_view
         if dataset.kind == "sharded":
-            assert view.handle.shard_level == dataset.handle.shard_level
+            assert np.array_equal(view.handle.splits, dataset.handle.splits)
 
     def test_view_of_view_composes_conjunctively(self, dataset):
         view = dataset.view(self.WHERE)
@@ -389,24 +388,25 @@ class TestEnvelopes:
             QueryRequest.from_dict({"v": 3, "region": {"bbox": [0, 0, 1, 1]}})
         assert excinfo.value.code == BAD_REQUEST
 
-    def test_v2_keys_need_v2_envelope(self, small_polygons):
+    def test_versionless_payload_may_carry_v2_keys(self, small_polygons):
+        """A payload without "v" is the current envelope, not v1."""
         payload = {
             "region": region_to_geojson(small_polygons[0]),
             "where": {"col": "fare", "op": ">", "value": 1},
         }
-        with pytest.raises(ApiError) as excinfo:
-            QueryRequest.from_dict(payload)
-        assert excinfo.value.code == BAD_REQUEST
-        assert "v2" in excinfo.value.message
+        versionless = QueryRequest.from_dict(payload)
+        assert versionless.where is not None
+        assert versionless.to_dict() == QueryRequest.from_dict(dict(payload, v=2)).to_dict()
 
-    def test_v1_envelope_cannot_carry_v2_keys(self, small_polygons):
-        payload = {
-            "v": 1,
-            "region": region_to_geojson(small_polygons[0]),
-            "group_by": collection(small_polygons[:2]),
-        }
-        with pytest.raises(ApiError):
-            QueryRequest.from_dict(payload)
+    def test_v1_envelope_rejected(self, small_polygons):
+        for payload in (
+            {"v": 1, "region": region_to_geojson(small_polygons[0])},
+            {"v": 1, "group_by": collection(small_polygons[:2])},
+        ):
+            with pytest.raises(ApiError) as excinfo:
+                QueryRequest.from_dict(payload)
+            assert excinfo.value.code == BAD_REQUEST
+            assert "unsupported envelope version" in excinfo.value.message
 
     def test_grouped_response_round_trip(self, dataset, small_polygons):
         response = dataset.query(
@@ -419,71 +419,71 @@ class TestEnvelopes:
         assert wire["v"] == 2
 
 
-class TestDeprecation:
-    @pytest.fixture(autouse=True)
-    def reset_warning_flag(self):
-        request_module._v1_warned = False
-        # The flat legacy-stats mirror has its own one-shot warning
-        # (tested in test_result_cache); keep it quiet here so these
-        # tests isolate the versionless-payload warning.
-        legacy = request_module._legacy_stats_warned
-        request_module._legacy_stats_warned = True
-        yield
-        request_module._v1_warned = False
-        request_module._legacy_stats_warned = legacy
+class TestOneEnvelope:
+    """There is one query envelope: "v" may be omitted, "v": 1 is a
+    client error, and nothing warns."""
 
-    def test_v1_run_dict_warns_once_and_answers_identically(self, small_block, quad_polygon):
+    @pytest.fixture()
+    def service(self, dataset) -> GeoService:
+        built = GeoService()
+        built.register("small", dataset)
+        return built
+
+    @staticmethod
+    def grouped(small_polygons, **extra) -> dict:
+        return {
+            "dataset": "small",
+            "group_by": collection(small_polygons[:4]),
+            "aggregates": AGG_STRINGS,
+            **extra,
+        }
+
+    @staticmethod
+    def same_answer(got: dict, want: dict) -> None:
+        assert got["ok"] is True and want["ok"] is True
+        assert json.dumps(got["data"], sort_keys=True) == json.dumps(
+            want["data"], sort_keys=True
+        )
+        assert got["version"] == want["version"]
+
+    def test_v1_is_bad_request(self, service, quad_polygon):
+        v1 = {"v": 1, "dataset": "small", "region": region_to_geojson(quad_polygon)}
+        envelope = service.run_dict(v1)
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == BAD_REQUEST
+        batch = service.run_batch_dict([dict(v1, v=2), v1])
+        assert [member["error"]["code"] for member in batch] == [BAD_REQUEST] * 2
+
+    def test_versionless_group_by_run_dict(self, service, small_polygons):
+        self.same_answer(
+            service.run_dict(self.grouped(small_polygons)),
+            service.run_dict(self.grouped(small_polygons, v=2)),
+        )
+
+    def test_versionless_group_by_run_batch_dict(self, service, small_polygons, quad_polygon):
+        single = {"dataset": "small", "region": region_to_geojson(quad_polygon)}
+        versionless = service.run_batch_dict([self.grouped(small_polygons), single])
+        versioned = service.run_batch_dict(
+            [self.grouped(small_polygons, v=2), dict(single, v=2)]
+        )
+        for got, want in zip(versionless, versioned):
+            self.same_answer(got, want)
+        assert len(versionless[0]["data"]["groups"]) == 4
+
+    def test_v2_payload_never_warns(self, small_block, quad_polygon, recwarn):
         service = GeoService()
         service.register("only", Dataset(small_block))
-        v1 = {"region": region_to_geojson(quad_polygon), "aggregates": ["count", "sum:fare"]}
-        v2 = dict(v1, v=2)
-        with pytest.warns(DeprecationWarning, match="versionless"):
-            first = service.run_dict(v1)
-        # Once per process: the second v1 payload stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = service.run_dict(v1)
-            modern = service.run_dict(v2)
-        assert first["data"] == second["data"] == modern["data"]
+        for payload in (
+            {"v": 2, "region": region_to_geojson(quad_polygon)},
+            {"region": region_to_geojson(quad_polygon)},
+        ):
+            assert service.run_dict(payload)["ok"] is True
+        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
-    def test_v2_payload_never_warns(self, small_block, quad_polygon):
+    def test_versionless_append_is_rejected(self, small_block):
+        """The write path keeps its explicit envelope."""
         service = GeoService()
         service.register("only", Dataset(small_block))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            envelope = service.run_dict(
-                {"v": 2, "region": region_to_geojson(quad_polygon)}
-            )
-        assert envelope["ok"] is True
-
-    def test_malformed_versionless_payload_does_not_consume_the_warning(
-        self, small_block, quad_polygon
-    ):
-        """Only a payload that actually parses as a v1 query is a
-        deprecated v1 query; garbage must not spend the one-shot
-        warning (code-review regression)."""
-        service = GeoService()
-        service.register("only", Dataset(small_block))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bad_single = service.run_dict({"regio": "typo"})
-            bad_batch = service.run_batch_dict([{"regio": "typo"}])
-        assert bad_single["ok"] is False
-        assert bad_batch[0]["ok"] is False
-        with pytest.warns(DeprecationWarning):
-            service.run_dict({"region": region_to_geojson(quad_polygon)})
-
-    def test_versionless_append_does_not_consume_the_warning(self, small_block, quad_polygon):
-        """Appends have no v1 form -- a versionless append is a plain
-        client error and must leave the once-per-process deprecation
-        warning for an actual v1 query (code-review regression)."""
-        service = GeoService()
-        service.register("only", Dataset(small_block))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rejected = service.run_dict(
-                {"op": "append", "rows": [{"x": 0.0, "y": 0.0}]}
-            )
+        rejected = service.run_dict({"op": "append", "rows": [{"x": 0.0, "y": 0.0}]})
         assert rejected["ok"] is False
-        with pytest.warns(DeprecationWarning):
-            service.run_dict({"region": region_to_geojson(quad_polygon)})
+        assert rejected["error"]["code"] == BAD_REQUEST

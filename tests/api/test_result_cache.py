@@ -63,8 +63,11 @@ def build_dataset(base, kind, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
-    return Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
+        kwargs.setdefault("shard_count", 8)
+    dataset = Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
+    if kind == "sharded":
+        assert dataset.handle.num_shards >= 4
+    return dataset
 
 
 def assert_identical(got, want) -> None:
@@ -343,27 +346,36 @@ class TestTelemetry:
         cache_block = envelope["stats"]["cache"]
         assert set(cache_block) == {"covering_cached", "result_cached", "trie_hits"}
         assert envelope["stats"]["mv"] == {"cached": 0}
-        # v2 responses dropped the flat legacy mirror keys in favour of
-        # the structured blocks; only v1 up-converts still emit them.
         assert "covering_cached" not in envelope["stats"]
         assert "cache_hits" not in envelope["stats"]
 
-    def test_v1_response_keeps_flat_legacy_stats(self, quad_polygon, monkeypatch):
-        from repro.api import request as request_module
-
-        # Both mirrors warn once per process; reset so this test owns them.
-        monkeypatch.setattr(request_module, "_v1_warned", False)
-        monkeypatch.setattr(request_module, "_legacy_stats_warned", False)
+    def test_no_response_carries_flat_stats_keys(self, quad_polygon):
+        """Versioned or versionless, single, batched or grouped: the
+        stats object holds only the structured blocks."""
         service = GeoService(cache=TieredCache())
         service.register("taxi", build_dataset(make_base(), "geoblock"))
-        payload = wire_payload(quad_polygon)
-        del payload["v"]
-        with pytest.warns(DeprecationWarning):
-            envelope = service.run_dict(payload)
-        assert envelope["ok"]
-        cache_block = envelope["stats"]["cache"]
-        assert envelope["stats"]["covering_cached"] == cache_block["covering_cached"]
-        assert envelope["stats"]["cache_hits"] == cache_block["trie_hits"]
+        versionless = wire_payload(quad_polygon)
+        del versionless["v"]
+        grouped = {
+            "dataset": "taxi",
+            "group_by": [{"name": "quad", "region": region_to_geojson(quad_polygon)}],
+        }
+        envelopes = [
+            service.run_dict(wire_payload(quad_polygon)),
+            service.run_dict(versionless),
+            service.run_dict(grouped),
+            *service.run_batch_dict([versionless, wire_payload(quad_polygon), grouped]),
+            service.dataset("taxi").query_dict(versionless),
+        ]
+        for envelope in envelopes:
+            assert envelope["ok"] is True
+            assert set(envelope["stats"]) == {
+                "cells_probed",
+                "latency_ms",
+                "cache",
+                "mv",
+                "shards",
+            }
 
     def test_stats_follow_privately_bound_datasets(self, quad_polygon):
         """A dataset bound to its own cache at build time keeps it when

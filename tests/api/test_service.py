@@ -46,7 +46,9 @@ def handle(kind, small_base, small_polygons):
     if kind == "geoblock":
         return GeoBlock.build(small_base, LEVEL)
     if kind == "sharded":
-        return ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        assert block.num_shards >= 4
+        return block
     adaptive = AdaptiveGeoBlock(GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5))
     for polygon in small_polygons:
         adaptive.select(polygon, AGGS)
@@ -62,9 +64,8 @@ def service(handle) -> GeoService:
 
 
 class TestSingleQueryParity:
-    # Deliberately exercises the versionless v1 path (flat legacy stats
-    # keys included), so both one-shot deprecation warnings fire here.
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    # Deliberately sends versionless payloads: they are read as the
+    # current envelope.
     def test_json_dict_select_matches_direct(self, service, handle, small_polygons):
         for polygon in small_polygons:
             want = handle.select(polygon, AGGS)
@@ -79,7 +80,7 @@ class TestSingleQueryParity:
             assert envelope["data"]["count"] == want.count
             assert_values_equal(envelope["data"]["values"], want.values)
             assert envelope["stats"]["cells_probed"] == want.cells_probed
-            assert envelope["stats"]["cache_hits"] == want.cache_hits
+            assert envelope["stats"]["cache"]["trie_hits"] == want.cache_hits
             assert envelope["stats"]["latency_ms"] >= 0.0
 
     def test_json_dict_count_matches_direct(self, service, handle, small_polygons):
@@ -186,7 +187,7 @@ class TestHints:
             }
         )
         want = handle.block.select(polygon, AGGS) if isinstance(handle, AdaptiveGeoBlock) else handle.select(polygon, AGGS)
-        assert envelope["stats"]["cache_hits"] == 0
+        assert envelope["stats"]["cache"]["trie_hits"] == 0
         assert envelope["data"]["count"] == want.count
         assert_values_equal(envelope["data"]["values"], want.values)
 

@@ -1,4 +1,4 @@
-"""Serialize round-trips for adaptive and sharded blocks (format v2)."""
+"""Serialize round-trips for adaptive and sharded blocks (format v3)."""
 
 from __future__ import annotations
 
@@ -41,16 +41,14 @@ def assert_same_answers(want_block, got_block, polygons):  # noqa: ANN001
 
 class TestShardedRoundTrip:
     def test_sharded_block_survives_save_load(self, small_base, small_polygons, tmp_path):
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        assert block.num_shards >= 4
         path = tmp_path / "sharded.npz"
         save(block, path)
         loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.shard_level == block.shard_level
         assert loaded.num_shards == block.num_shards
-        assert [(s.prefix, s.lo, s.hi) for s in loaded.shards] == [
-            (s.prefix, s.lo, s.hi) for s in block.shards
-        ]
+        assert [(s.lo, s.hi) for s in loaded.shards] == [(s.lo, s.hi) for s in block.shards]
         assert_same_answers(block, loaded, small_polygons)
 
     def test_sharded_batch_after_load(self, small_base, small_polygons, tmp_path):
@@ -70,40 +68,63 @@ class TestShardedRoundTrip:
         save(block, path)
         loaded = load(path)
         assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.layout == "curve"
-        assert loaded.shard_level is None
         assert np.array_equal(np.array(loaded.splits), np.array(block.splits))
         assert [(s.lo, s.hi, s.key_lo, s.key_hi) for s in loaded.shards] == [
             (s.lo, s.hi, s.key_lo, s.key_hi) for s in block.shards
         ]
         assert_same_answers(block, loaded, small_polygons)
 
-    def test_v2_sharded_file_loads_as_prefix(self, small_base, small_polygons, tmp_path):
-        """Pre-v3 sharded files carry only a shard level and no layout
-        field; they must load back as the prefix layout they were built
-        with."""
+    def test_v3_sharded_meta_is_unchanged(self, small_base, tmp_path):
+        """Files keep the v3 sharded meta, so older readers open them."""
         from repro.core import serialize
 
-        block = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
-        path = tmp_path / "v3.npz"
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        path = tmp_path / "curve.npz"
+        save(block, path)
+        with np.load(path) as archive:
+            meta = serialize.read_archive_meta(archive)
+        assert meta["version"] == 3
+        assert meta["layout"] == "curve"
+        assert meta["shard_splits"] == [int(b) for b in block.splits]
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_prefix_archives_load_as_curve(self, version, small_base, small_polygons, tmp_path):
+        """A v2 archive and a v3 prefix-layout archive carry a shard
+        level but no split points: both load as the curve layout with
+        cost-model splits and answer bit-identically to the saved block."""
+        from repro.core import serialize
+
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        path = tmp_path / "curve.npz"
         save(block, path)
         with np.load(path) as archive:
             meta = serialize.read_archive_meta(archive)
             arrays = {name: archive[name] for name in archive.files if name != "meta"}
-        # Rewrite the metadata exactly as version 2 wrote it.
-        meta["version"] = 2
-        del meta["layout"]
-        assert "shard_level" in meta
-        old_path = tmp_path / "v2.npz"
+        # Rewrite the metadata exactly as the prefix layout wrote it.
+        del meta["shard_splits"]
+        meta["shard_level"] = 11
+        meta["version"] = version
+        if version == 2:
+            del meta["layout"]
+        else:
+            meta["layout"] = "prefix"
+        old_path = tmp_path / f"prefix-v{version}.npz"
         serialize.write_archive(old_path, meta, arrays)
         loaded = load(old_path)
         assert isinstance(loaded, ShardedGeoBlock)
-        assert loaded.layout == "prefix"
-        assert loaded.shard_level == 11
-        assert [(s.prefix, s.lo, s.hi) for s in loaded.shards] == [
-            (s.prefix, s.lo, s.hi) for s in block.shards
-        ]
+        default = ShardedGeoBlock.build(small_base, LEVEL)
+        assert np.array_equal(loaded.splits, default.splits)
         assert_same_answers(block, loaded, small_polygons)
+        for want, got in zip(
+            block.run_batch(small_polygons * 3, aggs=AGGS),
+            loaded.run_batch(small_polygons * 3, aggs=AGGS),
+        ):
+            assert got.count == want.count
+            for key, value in want.values.items():
+                if np.isnan(value):
+                    assert np.isnan(got.values[key])
+                else:
+                    assert got.values[key] == value
 
 
 class TestAdaptiveRoundTrip:
@@ -208,7 +229,8 @@ class TestUnifiedSaveLoad:
 
     def _handles(self, small_base, small_polygons):
         plain = GeoBlock.build(small_base, LEVEL)
-        sharded = ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        sharded = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        assert sharded.num_shards >= 4
         adaptive = AdaptiveGeoBlock(
             GeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
         )

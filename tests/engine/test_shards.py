@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cells import cellid
 from repro.core import AggSpec, GeoBlock
 from repro.core.updates import apply_update
 from repro.engine.shards import ShardedGeoBlock
@@ -24,11 +23,6 @@ LEVEL = 14
 @pytest.fixture(scope="module")
 def sharded(small_base) -> ShardedGeoBlock:
     return ShardedGeoBlock.build(small_base, LEVEL)
-
-
-@pytest.fixture(scope="module")
-def prefix_sharded(small_base) -> ShardedGeoBlock:
-    return ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
 
 
 @pytest.fixture(scope="module")
@@ -54,32 +48,22 @@ class TestPartition:
         for (_, prev_hi), (next_lo, _) in zip(bounds, bounds[1:]):
             assert next_lo == prev_hi
 
-    def test_prefixes_match_rows(self, prefix_sharded):
-        keys = prefix_sharded.aggregates.keys
-        for shard in prefix_sharded.shards:
-            for row in (shard.lo, shard.hi - 1):
-                assert (
-                    cellid.parent(int(keys[row]), prefix_sharded.shard_level)
-                    == shard.prefix
-                )
-
     def test_multiple_shards_by_default(self, sharded):
         assert sharded.num_shards > 1
 
     def test_default_layout_is_curve(self, sharded):
-        assert sharded.layout == "curve"
-        assert sharded.shard_level is None
+        from repro.cells import sfc
+
         assert sharded.splits is not None
+        assert sharded.splits[0] == 0
+        assert sharded.splits[-1] == sfc.KEY_SPACE
 
-    def test_shard_level_selects_prefix_layout(self, prefix_sharded):
-        assert prefix_sharded.layout == "prefix"
-        assert prefix_sharded.shard_level == 11
-        assert prefix_sharded.splits is None
-
-    def test_explicit_shard_level(self, small_base):
-        fine = ShardedGeoBlock.build(small_base, LEVEL, shard_level=12)
-        assert fine.shard_level == 12
-        assert fine.num_shards >= 1
+    def test_prefix_layout_parameters_are_gone(self, small_base):
+        """One layout: the retired prefix-layout knobs are not accepted."""
+        with pytest.raises(TypeError):
+            ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
+        with pytest.raises(TypeError):
+            ShardedGeoBlock.build(small_base, LEVEL, layout="prefix")
 
     def test_keys_respect_shard_key_ranges(self, sharded):
         """Every shard's rows carry leaf keys inside its key range, and
@@ -120,11 +104,7 @@ class TestPartition:
         from repro.errors import BuildError
 
         with pytest.raises(BuildError):
-            ShardedGeoBlock.build(small_base, LEVEL, layout="nope")
-        with pytest.raises(BuildError):
-            ShardedGeoBlock.build(small_base, LEVEL, layout="prefix", shard_count=4)
-        with pytest.raises(BuildError):
-            ShardedGeoBlock.build(small_base, LEVEL, layout="curve", shard_level=11)
+            ShardedGeoBlock.build(small_base, LEVEL, shard_count=0)
         with pytest.raises(BuildError):
             ShardedGeoBlock.build(small_base, LEVEL, shard_count=4, splits=[0, 1])
 
@@ -136,17 +116,9 @@ class TestPartition:
     def test_coarsened_stays_sharded(self, sharded, plain, quad_polygon):
         coarse = sharded.coarsened(11)
         assert isinstance(coarse, ShardedGeoBlock)
-        assert coarse.layout == "curve"
         # Curve splits are level-independent; the coarse block routes
         # along the same boundaries as its parent.
         assert np.array_equal(coarse.splits, sharded.splits)
-        assert coarse.count(quad_polygon) == plain.coarsened(11).count(quad_polygon)
-
-    def test_coarsened_prefix_stays_prefix(self, prefix_sharded, plain, quad_polygon):
-        coarse = prefix_sharded.coarsened(11)
-        assert isinstance(coarse, ShardedGeoBlock)
-        assert coarse.layout == "prefix"
-        assert coarse.shard_level <= 11
         assert coarse.count(quad_polygon) == plain.coarsened(11).count(quad_polygon)
 
 
@@ -170,19 +142,24 @@ class TestQueryEquivalence:
     def test_cross_boundary_sums_bit_identical_to_plain(self, small_base, small_polygons):
         """Pin the PR-1 drift fix: batched sharded sums are *bit*
         identical to the plain block, including covering cells coarser
-        than the shard level (ranges spanning shard boundaries, which
-        used to be merged from rounded per-shard partials)."""
-        from repro.cells import cellid
+        than a shard (ranges spanning shard boundaries, which used to be
+        merged from rounded per-shard partials)."""
+        from repro.cells import sfc
 
-        level, shard_level = 16, 14
+        level = 16
         plain = GeoBlock.build(small_base, level)
-        sharded = ShardedGeoBlock.build(small_base, level, shard_level=shard_level)
+        sharded = ShardedGeoBlock.build(small_base, level, shard_count=16)
+        inner_splits = sharded.splits[1:-1]
         polygons = list(small_polygons) * 4  # >= MIN_RANGES_FOR_FANOUT cells
+        spans = [
+            sfc.cell_key_spans(plain.covering(polygon).ids) for polygon in small_polygons
+        ]
         spanning_capable = sum(
-            1
-            for polygon in small_polygons
-            for cell in plain.covering(polygon).ids.tolist()
-            if cellid.level_of(cell) < shard_level
+            int(np.count_nonzero(
+                np.searchsorted(inner_splits, lo, side="right")
+                != np.searchsorted(inner_splits, hi - 1, side="right")
+            ))
+            for lo, hi in spans
         )
         assert spanning_capable > 0, "workload must exercise boundary-spanning ranges"
         for want, got in zip(
@@ -196,7 +173,7 @@ class TestQueryEquivalence:
                     assert got.values[key] == value  # exact, not approx
 
     def test_close_releases_and_recreates_pool(self, small_base, small_polygons):
-        with ShardedGeoBlock.build(small_base, LEVEL, shard_level=12) as block:
+        with ShardedGeoBlock.build(small_base, LEVEL, shard_count=8) as block:
             polygons = list(small_polygons) * 4
             first = block.run_batch(polygons, aggs=AGGS)
             block.close()  # explicit close mid-life: pool is re-created lazily
@@ -230,16 +207,15 @@ class TestUpdates:
         )
         return ShardedGeoBlock.build(extract(table, EARTH), level)
 
-    def test_in_place_update_marks_one_shard_dirty(self, quad_polygon):
+    def test_in_place_update_keeps_partition(self, quad_polygon):
         block = self._fresh()
         xs = -73.95, 40.75
         before = block.num_cells
+        bounds = [(shard.lo, shard.hi) for shard in block.shards]
         in_place = apply_update(block, xs[0], xs[1], {"fare": 9.0, "distance": 1.0})
         assert in_place
         assert block.num_cells == before
-        assert len(block.dirty_shards()) == 1
-        assert block.sweep_dirty() == 1
-        assert block.dirty_shards() == []
+        assert [(shard.lo, shard.hi) for shard in block.shards] == bounds
 
     def test_splice_update_keeps_partition_consistent(self):
         block = self._fresh()
@@ -319,9 +295,7 @@ class TestUpdates:
                 float(new_ys[i]),
                 {"fare": float(fares[i]), "distance": float(distances[i])},
             )
-        # The adaptive-repartition seam is a no-op: split points survive
-        # the skewed burst untouched.
-        assert block.maybe_repartition() is False
+        # Split points survive the skewed burst untouched.
         if splits_before is not None:
             assert np.array_equal(np.array(block.splits), splits_before)
         rng2 = np.random.default_rng(55)

@@ -34,9 +34,12 @@ def build_dataset(kind="geoblock", seed=55, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     kwargs.setdefault("cache", TieredCache())
-    return Dataset.build(make_base(seed=seed), LEVEL, kind, name="taxi", **kwargs)
+    dataset = Dataset.build(make_base(seed=seed), LEVEL, kind, name="taxi", **kwargs)
+    if kind == "sharded":
+        assert dataset.handle.num_shards >= 4
+    return dataset
 
 
 def request(**kwargs) -> QueryRequest:

@@ -66,9 +66,12 @@ def build_dataset(base, kind, **kwargs):
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
+        kwargs.setdefault("shard_count", 8)
     kwargs.setdefault("cache", TieredCache())
-    return Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
+    dataset = Dataset.build(base, LEVEL, kind, name="taxi", **kwargs)
+    if kind == "sharded":
+        assert dataset.handle.num_shards >= 4
+    return dataset
 
 
 def request(region=REGION, **kwargs) -> QueryRequest:

@@ -48,8 +48,11 @@ def build_dataset(base, kind: str, **kwargs) -> Dataset:  # noqa: ANN001 - BaseD
     if kind == "adaptive":
         kwargs.setdefault("policy", CachePolicy(threshold=0.5))
     elif kind == "sharded":
-        kwargs.setdefault("shard_level", 11)
-    return Dataset.build(base, LEVEL, kind, name="small", **kwargs)
+        kwargs.setdefault("shard_count", 8)
+    dataset = Dataset.build(base, LEVEL, kind, name="small", **kwargs)
+    if kind == "sharded":
+        assert dataset.handle.num_shards >= 4
+    return dataset
 
 
 def answer(envelope: dict) -> dict:

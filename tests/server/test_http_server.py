@@ -35,6 +35,24 @@ class TestRoundTripAllKinds:
         assert answer(reply.body) == answer(service.run_dict(wire_query()))
         assert reply.body["data"]["count"] > 0
 
+    def test_versionless_group_by_matches_v2(self, kind_server):
+        """A payload without "v" is the current envelope over the wire
+        too: a grouped request answers exactly like its "v": 2 twin."""
+        server, client, service = kind_server
+        grouped = {
+            "dataset": "small",
+            "group_by": [
+                {"name": "west", "region": {"bbox": [-74.05, 40.65, -73.95, 40.82]}},
+                {"name": "east", "region": {"bbox": [-73.95, 40.65, -73.82, 40.82]}},
+            ],
+            "aggregates": ["count", "sum:fare"],
+        }
+        versionless = client.query(grouped)
+        versioned = client.query(dict(grouped, v=2))
+        assert versionless.status == versioned.status == 200
+        assert answer(versionless.body) == answer(versioned.body)
+        assert [row["name"] for row in versionless.body["data"]["groups"]] == ["west", "east"]
+
     def test_append_then_query_reflects_rows(self, kind_server):
         server, client, service = kind_server
         before = client.query(wire_query()).body
@@ -110,6 +128,7 @@ class TestErrorMapping:
         [
             (wire_query(dataset="nope"), 404, "unknown_dataset"),
             ({"v": 2, "dataset": "small"}, 400, "bad_request"),
+            (dict(wire_query(), v=1), 400, "bad_request"),
             (
                 {"v": 2, "dataset": "small", "region": {"bogus": 1}, "aggregates": ["count"]},
                 400,
