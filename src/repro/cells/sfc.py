@@ -1,11 +1,10 @@
 """Space-filling-curve keying over the cell grid.
 
-The curves themselves (the four-state Hilbert automaton and Morton bit
+The curves themselves (the table-driven Hilbert curve and Morton bit
 interleaving) live in :mod:`repro.cells.curves`; this module provides
 the *grid-level* keying layer the sharding subsystem builds on: bulk
 conversions between cell ids and (i, j) grid coordinates, leaf-key
-spans of arbitrary-level cells, exact cross-curve re-keying, and the
-locality metrics that justify Hilbert as the default shard key.
+spans of arbitrary-level cells, and exact cross-curve re-keying.
 
 Everything here is vectorised numpy -- no per-row Python -- because
 these transforms sit on build and routing paths that touch every cell
@@ -29,16 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cells import cellops
-from repro.cells.curves import MAX_LEVEL, Curve
+from repro.cells.curves import MAX_LEVEL, _check_level
 from repro.errors import CellError
 
 #: Size of the leaf curve-key space: one key per level-30 grid cell.
 KEY_SPACE = 1 << (2 * MAX_LEVEL)
-
-
-def _check_level(level: int) -> None:
-    if not 0 <= level <= MAX_LEVEL:
-        raise CellError(f"level must be in [0, {MAX_LEVEL}], got {level}")
 
 
 def leaf_keys(ids: np.ndarray) -> np.ndarray:
@@ -100,67 +94,3 @@ def rekey(
     """
     i, j = grid_coords(ids, level, source)
     return cells_from_grid(i, j, level, target)
-
-
-# -- locality metrics -------------------------------------------------------
-
-
-def _walk_coords(curve: Curve, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every position of the full level-``level`` curve walk."""
-    _check_level(level)
-    if level > 12:  # 4**13 positions would allocate > 0.5 GiB of walk state
-        raise CellError(f"locality metrics are exhaustive; level {level} is too deep")
-    positions = np.arange(1 << (2 * level), dtype=np.int64)
-    return curve.decode_array(positions, level)
-
-
-def step_lengths(curve: Curve, level: int) -> np.ndarray:
-    """Manhattan distance between consecutive curve positions at
-    ``level`` -- the raw material of the locality property suite."""
-    i, j = _walk_coords(curve, level)
-    if i.size < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.abs(np.diff(i)) + np.abs(np.diff(j))
-
-
-def adjacency_fraction(curve: Curve, level: int) -> float:
-    """Fraction of consecutive curve positions that are grid-adjacent.
-
-    Hilbert walks the grid edge by edge (fraction 1.0 at every level);
-    Morton takes diagonal and long jumps between quadrant blocks, which
-    is exactly the clustering loss the sharding bench measures.
-    """
-    steps = step_lengths(curve, level)
-    if steps.size == 0:
-        return 1.0
-    return float((steps == 1).mean())
-
-
-def max_step(curve: Curve, level: int) -> int:
-    """Largest Manhattan jump between consecutive curve positions
-    (1 for Hilbert at any level; grows with level for Morton)."""
-    steps = step_lengths(curve, level)
-    if steps.size == 0:
-        return 0
-    return int(steps.max())
-
-
-def key_density(keys: np.ndarray, counts: np.ndarray, bins: int = 64) -> np.ndarray:
-    """Tuple-weighted histogram of cell keys over the leaf key space.
-
-    The cost model's view of data skew: each cell contributes its tuple
-    count to the bin its key span starts in.  Returned as raw per-bin
-    tuple counts (length ``bins``).
-    """
-    if bins <= 0:
-        raise CellError(f"bins must be positive, got {bins}")
-    keys = np.asarray(keys, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    lo, _ = cell_key_spans(keys) if keys.size else (np.empty(0, dtype=np.int64), None)
-    # Bin width as a float would lose precision at 2**60; integer-divide
-    # by the ceil'd width so every key lands in [0, bins).
-    width = -(-KEY_SPACE // bins)
-    histogram = np.zeros(bins, dtype=np.int64)
-    if keys.size:
-        np.add.at(histogram, lo // width, counts)
-    return histogram

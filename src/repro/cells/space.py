@@ -10,6 +10,7 @@ space so that keys are mutually comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +56,16 @@ class CellSpace:
     def to_ij_arrays(
         self, xs: np.ndarray, ys: np.ndarray, level: int = MAX_LEVEL
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`to_ij`."""
+        """Vectorised :meth:`to_ij`, equal to it for every finite point
+        (clamping before the cast keeps far-out points from wrapping)."""
         side = 1 << level
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        i = ((xs - self.domain.min_x) / self.domain.width * side).astype(np.int64)
-        j = ((ys - self.domain.min_y) / self.domain.height * side).astype(np.int64)
+        i = (xs - self.domain.min_x) / self.domain.width * side
+        j = (ys - self.domain.min_y) / self.domain.height * side
         np.clip(i, 0, side - 1, out=i)
         np.clip(j, 0, side - 1, out=j)
-        return i, j
+        return i.astype(np.int64), j.astype(np.int64)
 
     # -- point -> cell ------------------------------------------------------
 
@@ -111,17 +113,49 @@ class CellSpace:
     def smallest_enclosing_cell(self, box: BoundingBox) -> int:
         """The deepest single cell whose bounds contain ``box``.
 
-        Used to seed coverings and to position the AggregateTrie root at
-        the level that encloses the input data (Section 3.6).
+        Used to seed coverings (Section 3.6).  Candidates are the cells
+        at the box's min corner, scanned coarser from
+        :meth:`_enclosing_level_bound` -- usually a single check.
         """
         clamped = box.intersection(self.domain)
         if clamped is None:
             raise CellError("box lies outside the cell space domain")
-        for level in range(MAX_LEVEL, -1, -1):
+        for level in range(self._enclosing_level_bound(clamped), -1, -1):
             cell = self.cell_at(clamped.min_x, clamped.min_y, level)
             if self.cell_bounds(cell).contains_box(clamped):
                 return cell
         return cellid.make_id(0, 0)
+
+    def _enclosing_level_bound(self, box: BoundingBox) -> int:
+        """A level no shallower than the one :meth:`smallest_enclosing_cell`
+        returns, from the common leading bits of the corners' leaf (i, j).
+
+        The min corner is quantised exactly as :meth:`cell_at` does, so its
+        level-``l`` cell is ``(i >> (30 - l), j >> (30 - l))``.  The max
+        corner is quantised upper-closed (an edge on a grid line belongs to
+        the cell below it) and pulled down by a bound on the float rounding
+        of quantisation and of :meth:`cell_bounds`, so a box the float
+        ``contains_box`` check accepts at some level is accepted here too.
+        """
+        low_i, low_j = self.to_ij(box.min_x, box.min_y)
+        high_i = _upper_closed(box.max_x, self.domain.min_x, self.domain.max_x, low_i)
+        high_j = _upper_closed(box.max_y, self.domain.min_y, self.domain.max_y, low_j)
+        return MAX_LEVEL - max((low_i ^ high_i).bit_length(), (low_j ^ high_j).bit_length())
+
+
+def _upper_closed(value: float, low: float, high: float, floor_index: int) -> int:
+    """Leaf grid index of a box's max edge with the cell's upper edge
+    closed, never below the min edge's index ``floor_index``.
+
+    Quantisation and cell bounds each round by a few ulps of the
+    domain's largest coordinate; ``slack`` (in leaf cells) covers that
+    twice over, so an edge within rounding of a grid line counts as on it.
+    """
+    side = 1 << MAX_LEVEL
+    extent = high - low
+    slack = (max(abs(low), abs(high)) / extent + 1.0) * 2.0**-19
+    index = math.floor((value - low) / extent * side - slack)
+    return max(floor_index, min(side - 1, index))
 
 
 #: The default Earth-wide space shared by examples and experiments.

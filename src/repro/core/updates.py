@@ -23,6 +23,7 @@ later ones -- never a full re-partition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from repro.cells import cellid
 from repro.core.adaptive import AdaptiveGeoBlock
 from repro.core.geoblock import GeoBlock
+from repro.core.trie import AggregateTrie
 from repro.errors import QueryError
 
 
@@ -50,12 +52,22 @@ def apply_update(
     row would make a batch O(rows x cells); nothing inside the update
     loop reads the header.
     """
+    return _apply_leaf(block, None, block.space.leaf_id(x, y), values, refresh)
+
+
+def _apply_leaf(
+    block: GeoBlock,
+    trie: AggregateTrie | None,
+    leaf: int,
+    values: Mapping[str, float],
+    refresh: bool,
+) -> bool:
+    """The per-row fold behind every update entry point: the tuple's
+    ``leaf`` is already keyed, so a batch keys all its rows at once."""
     aggregates = block.aggregates
     missing = [spec.name for spec in aggregates.schema if spec.name not in values]
     if missing:
         raise QueryError(f"update is missing values for columns {missing}")
-
-    leaf = block.space.leaf_id(x, y)
     cell = cellid.parent(leaf, block.level)
     keys = aggregates.keys
     row = int(np.searchsorted(keys, cell, side="left"))
@@ -73,6 +85,8 @@ def apply_update(
         refresh_header(block)
     # Sharded blocks splice their shard bounds here.
     block._note_update(cell, row, in_place)
+    if trie is not None:
+        _refresh_trie(trie, block, leaf, values)
     return in_place
 
 
@@ -93,14 +107,16 @@ def apply_update_adaptive(
 ) -> bool:
     """Update an adaptive block: the base aggregates plus every cached
     ancestor of the tuple's grid cell (one depth-first trie walk)."""
-    in_place = apply_update(adaptive.block, x, y, values, refresh=refresh)
-    trie = adaptive.trie
-    if trie is None:
-        return in_place
-    leaf = adaptive.block.space.leaf_id(x, y)
-    schema = adaptive.block.aggregates.schema
+    block = adaptive.block
+    return _apply_leaf(block, adaptive.trie, block.space.leaf_id(x, y), values, refresh)
+
+
+def _refresh_trie(
+    trie: AggregateTrie, block: GeoBlock, leaf: int, values: Mapping[str, float]
+) -> None:
+    schema = block.aggregates.schema
     root_level = cellid.level_of(trie.root_cell)
-    for level in range(root_level, adaptive.block.level + 1):
+    for level in range(root_level, block.level + 1):
         ancestor = cellid.parent(leaf, level)
         probe = trie.probe(ancestor)
         if probe.status == "hit" and probe.record is not None:
@@ -113,7 +129,6 @@ def apply_update_adaptive(
                 record[3 + 3 * position] = max(record[3 + 3 * position], value)
         elif probe.status == "miss":
             break  # no node: no cached descendants along this path either
-    return in_place
 
 
 def apply_batch(block: GeoBlock, xs, ys, columns: Mapping[str, np.ndarray]) -> int:  # noqa: ANN001
@@ -140,18 +155,20 @@ def append_rows(handle, rows: "Sequence[Mapping[str, float]]") -> tuple[int, int
     """Fold row dicts (``{"x": ..., "y": ..., <column>: ...}``) into a
     block of any kind -- the write path of the service API.
 
-    Dispatches per row: adaptive handles additionally refresh every
-    cached trie ancestor (:func:`apply_update_adaptive`); sharded
-    blocks splice their shard bounds through their ``_note_update`` hook.
-    Rows are validated *before* anything is applied, so a malformed row
-    never leaves the block half-updated.  Returns ``(appended,
-    in_place)`` -- how many rows were folded, and how many landed in an
-    existing cell aggregate (the cheap path).
+    The validated batch is keyed with one ``leaf_ids`` call, then folded
+    row by row: adaptive handles additionally refresh every cached trie
+    ancestor; sharded blocks splice their shard bounds through their
+    ``_note_update`` hook.  Rows are validated *before* anything is
+    applied, so a malformed row never leaves the block half-updated.
+    Returns ``(appended, in_place)`` -- how many rows were folded, and
+    how many landed in an existing cell aggregate (the cheap path).
     """
     adaptive = isinstance(handle, AdaptiveGeoBlock)
     block = handle.block if adaptive else handle
     names = block.aggregates.schema.names
-    parsed: list[tuple[float, float, dict[str, float]]] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    parsed: list[dict[str, float]] = []
     for index, row in enumerate(rows):
         if not isinstance(row, Mapping):
             raise QueryError(f"row {index} must be an object, got {type(row).__name__}")
@@ -159,21 +176,19 @@ def append_rows(handle, rows: "Sequence[Mapping[str, float]]") -> tuple[int, int
         if missing:
             raise QueryError(f"row {index} is missing {missing}")
         try:
-            parsed.append(
-                (
-                    float(row["x"]),
-                    float(row["y"]),
-                    {name: float(row[name]) for name in names},
-                )
-            )
+            x, y = float(row["x"]), float(row["y"])
+            parsed.append({name: float(row[name]) for name in names})
         except (TypeError, ValueError) as error:
             raise QueryError(f"row {index} has a non-numeric value: {error}") from error
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise QueryError(f"row {index} has a non-finite coordinate ({x}, {y})")
+        xs.append(x)
+        ys.append(y)
+    trie = handle.trie if adaptive else None
+    leaves = block.space.leaf_ids(np.array(xs), np.array(ys)).tolist()
     in_place = 0
-    for x, y, values in parsed:
-        if adaptive:
-            in_place += int(apply_update_adaptive(handle, x, y, values, refresh=False))
-        else:
-            in_place += int(apply_update(block, x, y, values, refresh=False))
+    for leaf, values in zip(leaves, parsed):
+        in_place += int(_apply_leaf(block, trie, leaf, values, refresh=False))
     if parsed:
         refresh_header(block)
     return len(parsed), in_place

@@ -3,11 +3,10 @@
 At build/open time the sharding layer has to answer two questions: *how
 many* shards, and *where* the key-range split points go.  This module
 answers both from data statistics alone -- cell count, tuple count, and
-the tuple-weighted key-density histogram from
-:func:`repro.cells.sfc.key_density` -- so the layout adapts to skew
-instead of hard-coding a prefix level.  Every decision can be overridden
-explicitly (``shard_count=`` / ``splits=``) for reproducible layouts in
-tests and benchmarks.
+the tuple-weighted distribution of cells along the curve -- so the
+layout adapts to skew.  Every decision can be overridden explicitly
+(``shard_count=`` / ``splits=``) for reproducible layouts in tests and
+benchmarks.
 
 The split points are *equi-depth*: boundaries are placed at weighted
 quantiles of the tuple distribution along the curve, so each shard holds

@@ -257,14 +257,22 @@ class TestUnsupportedAndErrors:
         assert envelope["ok"] is False
         assert envelope["error"]["code"] == BAD_REQUEST  # malformed row
 
-    def test_malformed_rows_rejected_atomically(self, quad_polygon):
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"x": -73.95, "y": 40.75, "fare": 1.0}, "distance"),  # missing column
+            ({"x": float("nan"), "y": 40.75, "fare": 1.0, "distance": 1.0}, "non-finite"),
+            ({"x": -73.95, "y": float("inf"), "fare": 1.0, "distance": 1.0}, "non-finite"),
+        ],
+    )
+    def test_malformed_rows_rejected_atomically(self, quad_polygon, bad, named):
         dataset = build_dataset(make_base(), "geoblock")
         count_before = dataset.query(QueryRequest(region=quad_polygon)).count
-        rows = make_rows(3) + [{"x": -73.95, "y": 40.75, "fare": 1.0}]  # missing distance
+        rows = make_rows(3) + [bad]
         with pytest.raises(ApiError) as excinfo:
             dataset.append(rows)
         assert excinfo.value.code == BAD_REQUEST
-        assert "distance" in excinfo.value.message
+        assert named in excinfo.value.message
         assert dataset.version == 1  # nothing applied
         assert dataset.query(QueryRequest(region=quad_polygon)).count == count_before
 

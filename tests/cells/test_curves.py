@@ -9,8 +9,79 @@ from hypothesis import strategies as st
 
 from repro.cells.curves import HILBERT, MAX_LEVEL, MORTON, curve_by_name
 from repro.errors import CellError
+from tests.cells.curve_oracles import AUTOMATON, BIT_MORTON
 
 CURVES = [HILBERT, MORTON]
+#: Each table-driven curve with the bit-at-a-time loop it replaced.
+KERNEL_ORACLES = [(HILBERT, AUTOMATON), (MORTON, BIT_MORTON)]
+
+
+def _assert_kernel_matches_oracle(curve, oracle, i: np.ndarray, j: np.ndarray, level: int) -> None:
+    """Table kernel == bit-at-a-time loop: array and scalar forms,
+    encode and decode, Python ints out of the scalar forms."""
+    expected = oracle.encode_array(i, j, level)
+    pos = curve.encode_array(i, j, level)
+    assert pos.dtype == np.int64 and np.array_equal(pos, expected)
+    di, dj = curve.decode_array(expected, level)
+    ei, ej = oracle.decode_array(expected, level)
+    assert np.array_equal(di, ei) and np.array_equal(dj, ej)
+    assert np.array_equal(di, i) and np.array_equal(dj, j)
+    for a, b, p in zip(i.tolist(), j.tolist(), expected.tolist()):
+        got = curve.encode(a, b, level)
+        assert type(got) is int and got == p
+        assert curve.decode(p, level) == (a, b)
+
+
+@pytest.mark.parametrize("curve, oracle", KERNEL_ORACLES, ids=lambda c: c.name)
+class TestTableKernelOracle:
+    """Cell ids are pinned to the loops the chunk tables replaced."""
+
+    @pytest.mark.parametrize("level", range(7))  # every level % 4 head width
+    def test_exhaustive_small_levels(self, curve, oracle, level):
+        side = 1 << level
+        i, j = np.meshgrid(np.arange(side, dtype=np.int64), np.arange(side, dtype=np.int64))
+        _assert_kernel_matches_oracle(curve, oracle, i.ravel(), j.ravel(), level)
+        for a in range(side):  # the oracle's own scalar form, too
+            for b in range(side):
+                assert curve.encode(a, b, level) == oracle.encode(a, b, level)
+
+    @pytest.mark.parametrize("level", range(7, MAX_LEVEL + 1))
+    def test_random_coordinates(self, curve, oracle, level):
+        rng = np.random.default_rng(level)
+        side = 1 << level
+        edges = np.array([0, 0, side - 1, side - 1], dtype=np.int64)
+        i = np.concatenate((edges, rng.integers(0, side, 10_000, dtype=np.int64)))
+        j = np.concatenate((edges[[0, 2, 1, 3]], rng.integers(0, side, 10_000, dtype=np.int64)))
+        _assert_kernel_matches_oracle(curve, oracle, i, j, level)
+
+    def test_numpy_scalars_give_python_ints(self, curve, oracle):
+        pos = curve.encode(np.int64(5), np.int64(9), 4)
+        assert type(pos) is int and pos == oracle.encode(5, 9, 4)
+        i, j = curve.decode(np.int64(pos), 4)
+        assert type(i) is int and type(j) is int and (i, j) == (5, 9)
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, -1])
+    def test_bad_level_errors_unchanged(self, curve, oracle, level):
+        message = rf"level must be in \[0, {MAX_LEVEL}\], got {level}"
+        one = np.zeros(1, dtype=np.int64)
+        for call in (
+            lambda: curve.encode(0, 0, level),
+            lambda: curve.decode(0, level),
+            lambda: curve.encode_array(one, one, level),
+            lambda: curve.decode_array(one, level),
+        ):
+            with pytest.raises(CellError, match=message):
+                call()
+
+    @pytest.mark.parametrize("level", [0, 3, MAX_LEVEL])
+    def test_out_of_range_errors_unchanged(self, curve, oracle, level):
+        side = 1 << level
+        for i, j in ((side, 0), (0, side), (-1, 0), (0, -1)):
+            with pytest.raises(CellError, match=rf"coordinates \({i}, {j}\) out of range"):
+                curve.encode(i, j, level)
+        for pos in (4**level, -1):
+            with pytest.raises(CellError, match=rf"position {pos} out of range for level"):
+                curve.decode(pos, level)
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.name)

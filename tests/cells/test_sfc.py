@@ -1,11 +1,11 @@
-"""Space-filling-curve keying: round-trips, spans, locality metrics."""
+"""Space-filling-curve keying: round-trips, re-keying, key spans."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cells import EARTH, HILBERT, MAX_LEVEL, MORTON, CellSpace, cellid, cellops
+from repro.cells import EARTH, MAX_LEVEL, MORTON, CellSpace, cellid, cellops
 from repro.cells import sfc
 from repro.errors import CellError
 
@@ -107,57 +107,3 @@ class TestKeySpans:
         assert hi[-1] == sfc.KEY_SPACE
         assert np.array_equal(lo[1:], hi[:-1])
 
-
-class TestLocality:
-    @pytest.mark.parametrize("level", [1, 4, 8])
-    def test_hilbert_walk_is_fully_adjacent(self, level):
-        assert sfc.adjacency_fraction(HILBERT, level) == 1.0
-        assert sfc.max_step(HILBERT, level) == 1
-
-    @pytest.mark.parametrize("level", [2, 4, 8])
-    def test_morton_walk_jumps(self, level):
-        assert sfc.adjacency_fraction(MORTON, level) < 1.0
-        assert sfc.max_step(MORTON, level) > 1
-
-    def test_morton_max_step_grows_with_level(self):
-        assert sfc.max_step(MORTON, 6) > sfc.max_step(MORTON, 3)
-
-    def test_degenerate_level_zero(self):
-        # One cell: no steps, vacuously perfect locality.
-        assert sfc.step_lengths(HILBERT, 0).size == 0
-        assert sfc.adjacency_fraction(MORTON, 0) == 1.0
-        assert sfc.max_step(MORTON, 0) == 0
-
-    def test_deep_exhaustive_walk_refused(self):
-        with pytest.raises(CellError):
-            sfc.step_lengths(HILBERT, 13)
-
-
-class TestKeyDensity:
-    def test_total_mass_preserved(self):
-        keys = np.sort(random_cells(12, 200, seed=11))
-        counts = np.arange(1, 201, dtype=np.int64)
-        hist = sfc.key_density(keys, counts, bins=32)
-        assert hist.size == 32
-        assert hist.sum() == counts.sum()
-
-    def test_empty_input(self):
-        hist = sfc.key_density(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), bins=16
-        )
-        assert hist.sum() == 0
-
-    def test_skew_shows_up(self):
-        # All cells inside one root quadrant -> mass concentrated in a
-        # narrow bin range.
-        side = 1 << 10
-        rng = np.random.default_rng(13)
-        i = rng.integers(0, side // 8, 100, dtype=np.int64)
-        j = rng.integers(0, side // 8, 100, dtype=np.int64)
-        keys = np.unique(sfc.cells_from_grid(i, j, 10, EARTH))
-        hist = sfc.key_density(keys, np.ones(keys.size, dtype=np.int64), bins=64)
-        assert (hist > 0).sum() <= 8
-
-    def test_bad_bins_raises(self):
-        with pytest.raises(CellError):
-            sfc.key_density(np.empty(0, dtype=np.int64), np.empty(0), bins=0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,57 @@ from repro.geometry.bbox import BoundingBox
 
 lon = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 lat = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
+
+#: Spaces under test: EARTH's cell bounds are exact floats; the others round.
+SPACES = [
+    pytest.param(EARTH, id="earth"),
+    pytest.param(CellSpace(BoundingBox(-74.3, 40.4, -73.6, 41.0)), id="nyc"),
+    pytest.param(CellSpace(BoundingBox(0.0, 0.0, 100.0, 50.0)), id="100x50"),
+    pytest.param(CellSpace(BoundingBox(1e6, 1e6, 1e6 + 3.7, 1e6 + 0.01)), id="far"),
+]
+
+
+def enclosing_by_loop(space: CellSpace, box: BoundingBox) -> int:
+    """The level-by-level scan smallest_enclosing_cell used to run."""
+    clamped = box.intersection(space.domain)
+    for level in range(MAX_LEVEL, -1, -1):
+        cell = space.cell_at(clamped.min_x, clamped.min_y, level)
+        if space.cell_bounds(cell).contains_box(clamped):
+            return cell
+    return cellid.make_id(0, 0)
+
+
+@st.composite
+def axis_coordinate(draw, low: float, high: float) -> float:
+    """A free coordinate (possibly outside the domain, to be clamped),
+    a domain edge, or a grid line of some level nudged by a few ulps."""
+    extent = high - low
+    kind = draw(st.sampled_from(["free", "edge", "grid"]))
+    if kind == "free":
+        return draw(st.floats(low - 0.05 * extent, high + 0.05 * extent))
+    if kind == "edge":
+        return draw(st.sampled_from([low, high]))
+    level = draw(st.integers(0, MAX_LEVEL))
+    x = low + draw(st.integers(0, 1 << level)) * (extent / (1 << level))
+    nudge = draw(st.integers(-2, 2))
+    for _ in range(abs(nudge)):
+        x = math.nextafter(x, math.copysign(math.inf, nudge))
+    return x
+
+
+@st.composite
+def axis_span(draw, low: float, high: float) -> tuple[float, float]:
+    """(min, max) along one axis: zero-width, two independent
+    coordinates, or a coordinate plus a width spanning 1e-9..1 extents."""
+    a = draw(axis_coordinate(low, high))
+    kind = draw(st.sampled_from(["point", "pair", "width"]))
+    if kind == "point":
+        return a, a
+    if kind == "pair":
+        b = draw(axis_coordinate(low, high))
+    else:
+        b = a + (high - low) * 10.0 ** -draw(st.integers(0, 9))
+    return min(a, b), max(a, b)
 
 
 class TestKeying:
@@ -42,6 +95,28 @@ class TestKeying:
         leaves = EARTH.leaf_ids(xs, ys)
         for index in range(0, 300, 17):
             assert int(leaves[index]) == EARTH.leaf_id(float(xs[index]), float(ys[index]))
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_batch_keys_match_row_keys(self, space):
+        """Appends key a batch with leaf_ids; it must equal leaf_id per
+        row on domain corners, clamped far-out points and cell edges."""
+        domain = space.domain
+        rng = np.random.default_rng(11)
+        corners_x = [domain.min_x, domain.max_x, domain.min_x, domain.max_x]
+        corners_y = [domain.min_y, domain.min_y, domain.max_y, domain.max_y]
+        far_x = [domain.min_x - 1.0, domain.max_x + 1.0, -1e30, 1e30, 0.5, 0.5]
+        far_y = [0.5, 0.5, 0.5, 0.5, -1e200, domain.max_y + 1e-9]
+        edge_x, edge_y = [], []
+        for level in rng.integers(0, MAX_LEVEL + 1, 200).tolist():
+            side = 1 << level
+            i, j = rng.integers(0, side + 1, 2).tolist()
+            edge_x.append(domain.min_x + i * (domain.width / side))
+            edge_y.append(domain.min_y + j * (domain.height / side))
+        xs = np.array(corners_x + far_x + edge_x)
+        ys = np.array(corners_y + far_y + edge_y)
+        leaves = space.leaf_ids(xs, ys)
+        for k in range(xs.size):
+            assert int(leaves[k]) == space.leaf_id(float(xs[k]), float(ys[k]))
 
     def test_out_of_domain_points_clamp(self):
         inside = EARTH.leaf_id(180.0, 90.0)
@@ -87,6 +162,35 @@ class TestEnclosingCell:
         space = CellSpace(BoundingBox(0.0, 0.0, 10.0, 10.0))
         with pytest.raises(CellError):
             space.smallest_enclosing_cell(BoundingBox(20.0, 20.0, 30.0, 30.0))
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_cell_bounds_at_every_level(self, space):
+        """A cell's own bounds put all four edges on grid lines.  Where
+        the bounds are exact floats (EARTH) that encloses to the cell
+        itself: upper-closed edges keep the level."""
+        rng = np.random.default_rng(7)
+        for level in range(MAX_LEVEL + 1):
+            side = 1 << level
+            i, j = (int(v) for v in rng.integers(0, side, 2))
+            cell = cellid.make_id(level, space.curve.encode(i, j, level))
+            bounds = space.cell_bounds(cell)
+            found = space.smallest_enclosing_cell(bounds)
+            assert found == enclosing_by_loop(space, bounds)
+            assert found == cell or space is not EARTH
+
+    @pytest.mark.parametrize("space", SPACES)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_level_by_level_loop(self, space, data):
+        domain = space.domain
+        x0, x1 = data.draw(axis_span(domain.min_x, domain.max_x))
+        y0, y1 = data.draw(axis_span(domain.min_y, domain.max_y))
+        box = BoundingBox(x0, y0, x1, y1)
+        if box.intersection(domain) is None:
+            with pytest.raises(CellError):
+                space.smallest_enclosing_cell(box)
+        else:
+            assert space.smallest_enclosing_cell(box) == enclosing_by_loop(space, box)
 
 
 class TestCustomSpaces:
