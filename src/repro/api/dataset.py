@@ -429,13 +429,7 @@ class Dataset:
             # The view inherits the parent's split points, so parent and
             # view route queries along identical shard boundaries.
             handle = ShardedGeoBlock.build(
-                self._base,
-                self.level,
-                predicate,
-                splits=self._handle.splits,
-                shard_count=(
-                    self._handle.shard_count_hint if self._handle.splits is None else None
-                ),
+                self._base, self.level, predicate, splits=self._handle.splits
             )
         else:
             handle = GeoBlock.build(self._base, self.level, predicate)

@@ -408,9 +408,9 @@ class QueryStats:
     #: not sharded).  Like ``cells_probed``, cached answers keep the
     #: routing counters of the execution that produced them.
     shards_total: int = 0
-    #: Shards the partition router pruned before execution -- work for
-    #: them never entered the fan-out pool.  Summed across members for
-    #: grouped requests, like ``cells_probed``.
+    #: Shards the partition router proved disjoint from the covering.
+    #: Summed across members for grouped requests, like
+    #: ``cells_probed``.
     shards_pruned: int = 0
 
     def to_dict(self) -> dict:

@@ -8,10 +8,9 @@ failures; every outcome is an envelope, ``{"ok": true, ...}`` or the
 unified error envelope, so an HTTP layer reduces to
 ``json.dumps(service.run_dict(json.loads(body)))``.
 
-Batches are fanned out per dataset into the engine's batched executor
-(shared binary searches, dedup'd range records, per-shard thread-pool
-materialisation on sharded datasets) and stitched back into request
-order.
+Batches are split per dataset into the engine's batched executor
+(shared binary searches, dedup'd range records) and stitched back into
+request order.
 """
 
 from __future__ import annotations
@@ -230,8 +229,8 @@ class GeoService:
         """Answer a mixed-dataset batch through the batched executor.
 
         Requests are grouped per dataset, each group runs as one
-        :meth:`Dataset.run_batch` (one engine pass; thread-pool fan-out
-        on sharded datasets), and responses return in input order.
+        :meth:`Dataset.run_batch` (one engine pass, whatever the
+        dataset kind), and responses return in input order.
         """
         parsed = [as_request(request) for request in requests]
         by_dataset: dict[str | None, list[int]] = {}

@@ -322,9 +322,9 @@ def _parity_build(scale: Scale) -> Prepared:
             plain.executor.select_reference(plain.plan(target), aggs)
             for target, aggs in batch_items(list(workload))
         ]
-        # Sharded execution is bit-identical too (boundary-spanning
-        # ranges reduce over the full shared arrays), so values are
-        # compared exactly, same as the plain batched path.
+        # Sharded execution is bit-identical too (same executor over
+        # the same arrays), so values are compared exactly, same as the
+        # plain batched path.
         identical = all(
             _bit_identical_results(want, got)
             for want, got in (
@@ -790,9 +790,9 @@ def _curve_sharded_block(scale: Scale):
 
         base = nyc_base(scale.config)
         level = scale.config.nyc_level(scale.config.block_level)
-        # Explicit shard count: the cost model sizes to the pool on this
-        # host, which would leave nothing to prune on small CI runners;
-        # routing quality is what the pruning scenario measures.
+        # Explicit shard count: the cost model gives small data one
+        # shard, which would leave nothing to prune; routing quality is
+        # what the pruning scenario measures.
         block = ShardedGeoBlock.build(base, level, shard_count=32)
         warm_caches(block, _skewed_only_workload(scale))
         _CONTEXT_CACHE[key] = block

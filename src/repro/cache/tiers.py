@@ -19,8 +19,8 @@ prior entries unreachable; the LRU bound reclaims them.  Nothing is
 eagerly swept on the write path.
 
 All tier operations take one lock per call (plain dict/OrderedDict
-mutation underneath), so handles are safe to share across the sharded
-blocks' batch fan-out pool and any threaded serving adapter.
+mutation underneath), so handles are safe to share across the threads
+of any threaded serving adapter.
 """
 
 from __future__ import annotations

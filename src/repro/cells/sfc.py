@@ -35,11 +35,6 @@ from repro.errors import CellError
 KEY_SPACE = 1 << (2 * MAX_LEVEL)
 
 
-def leaf_keys(ids: np.ndarray) -> np.ndarray:
-    """Curve key (leaf position) of every *leaf* id."""
-    return cellops.pos_from_leaf_ids(ids)
-
-
 def cell_key_spans(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-open leaf-key span ``[lo, hi)`` of every cell.
 

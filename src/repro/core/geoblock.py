@@ -245,10 +245,9 @@ class GeoBlock:
         Results are returned in input order and are identical to
         issuing the queries sequentially; overlapping coverings reduce
         their shared ranges only once, which is where batching wins on
-        skewed workloads.  Sharded blocks fan the segment reductions
-        out per shard and stay bit-identical too (boundary-spanning
-        ranges are computed over the full shared arrays -- see
-        :mod:`repro.engine.shards`).
+        skewed workloads.  Sharded blocks run the same reduction over
+        the same arrays, so they are bit-identical too
+        (:mod:`repro.engine.shards`).
         """
         items = [
             (self.plan(target), query_aggs)
@@ -271,12 +270,6 @@ class GeoBlock:
         """
         items = [(self.plan(target), aggs) for target in targets]
         return self._executor.run_grouped(items)
-
-    # -- helpers ----------------------------------------------------------------------
-
-    def _note_update(self, cell: int, row: int, in_place: bool) -> None:
-        """Hook for ``core/updates.py``; sharded blocks adjust their
-        partition here.  Plain blocks have nothing to maintain."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -76,8 +76,7 @@ def _block_meta(block: GeoBlock, kind: str) -> dict:
         # Full split-bounds array (JSON ints are exact well past 2**60),
         # so the loaded partition is byte-for-byte the one that was
         # saved, whatever machine opens the file.
-        splits = block.splits  # type: ignore[attr-defined]
-        meta["shard_splits"] = None if splits is None else [int(b) for b in splits]
+        meta["shard_splits"] = [int(b) for b in block.splits]  # type: ignore[attr-defined]
     return meta
 
 

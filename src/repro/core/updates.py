@@ -16,9 +16,10 @@ the layout admits updates, and this module implements that sketch:
 
 Batched usage is recommended, exactly as the paper suggests.
 
-Sharded blocks (:mod:`repro.engine.shards`) get a post-update callback
-(``_note_update``): a spliced row grows its owning shard and shifts the
-later ones -- never a full re-partition.
+Every block kind takes the same path: sharded blocks
+(:mod:`repro.engine.shards`) keep fixed split points and derive their
+row bounds from the key array on access, so a splice needs no shard
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ def _apply_leaf(
     aggregates.data_version += 1
     if refresh:
         refresh_header(block)
-    # Sharded blocks splice their shard bounds here.
-    block._note_update(cell, row, in_place)
     if trie is not None:
         _refresh_trie(trie, block, leaf, values)
     return in_place
@@ -157,8 +156,8 @@ def append_rows(handle, rows: "Sequence[Mapping[str, float]]") -> tuple[int, int
 
     The validated batch is keyed with one ``leaf_ids`` call, then folded
     row by row: adaptive handles additionally refresh every cached trie
-    ancestor; sharded blocks splice their shard bounds through their
-    ``_note_update`` hook.  Rows are validated *before* anything is
+    ancestor; sharded blocks need nothing extra (their shard row bounds
+    are derived from the keys).  Rows are validated *before* anything is
     applied, so a malformed row never leaves the block half-updated.
     Returns ``(appended, in_place)`` -- how many rows were folded, and
     how many landed in an existing cell aggregate (the cheap path).

@@ -17,12 +17,11 @@ runners -- flows through this package's two-stage pipeline:
    (``run_batch``), and defines the probe / cache-hit counters once
    for every path.
 
-:mod:`repro.engine.shards` adds sharded blocks whose batch execution
-fans out across a thread pool and whose updates splice into the
-partition; shards are equi-depth ranges of the space-filling curve
-key (:mod:`repro.cells.sfc`), with split points picked by the cost
-model (:mod:`repro.engine.cost`) and per-query shard pruning done
-by the :class:`~repro.engine.router.PartitionRouter`
+:mod:`repro.engine.shards` adds sharded blocks: plain blocks plus
+fixed split points into equi-depth ranges of the space-filling curve
+key (:mod:`repro.cells.sfc`), picked by the cost model
+(:mod:`repro.engine.cost`), with per-query shard pruning reported by
+the :class:`~repro.engine.router.PartitionRouter`
 (:mod:`repro.engine.router`).  The engine is the seam later scaling
 work (async serving, multi-backend storage, distributed sharding)
 plugs into.

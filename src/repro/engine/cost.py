@@ -31,21 +31,16 @@ class CostConfig:
     """Tuning knobs for the shard-layout cost model.
 
     ``target_cells_per_shard`` sizes shards by index width (smaller =>
-    more shards => finer pruning but more fan-out overhead);
-    ``workers_factor`` keeps at least that many shards per thread-pool
-    worker so the pool stays busy; ``max_shards`` caps metadata and
-    routing cost.
+    more shards => finer pruning but a larger routing table);
+    ``max_shards`` caps metadata and routing cost.
     """
 
     target_cells_per_shard: int = 2048
-    workers_factor: int = 2
     max_shards: int = 64
 
     def __post_init__(self) -> None:
         if self.target_cells_per_shard <= 0:
             raise BuildError("target_cells_per_shard must be positive")
-        if self.workers_factor <= 0:
-            raise BuildError("workers_factor must be positive")
         if self.max_shards <= 0:
             raise BuildError("max_shards must be positive")
 
@@ -81,20 +76,16 @@ class CostModel:
     def config(self) -> CostConfig:
         return self._config
 
-    def shard_count(self, cells: int, rows: int, workers: int) -> int:
-        """Shard count for a block of ``cells`` index entries over
-        ``rows`` tuples, executed by a ``workers``-wide pool.
-
-        Wide indexes get more shards (pruning granularity); small ones
-        still get enough to feed the pool; single-cell blocks get one.
-        """
+    def shard_count(self, cells: int) -> int:
+        """Shard count for a block of ``cells`` index entries: one shard
+        per ``target_cells_per_shard`` cells (pruning granularity),
+        capped by ``max_shards``; empty and single-cell blocks get one.
+        The data alone decides -- never the host it runs on."""
         if cells <= 0:
             return 1
         cfg = self._config
         by_width = -(-cells // cfg.target_cells_per_shard)
-        by_pool = cfg.workers_factor * max(workers, 1)
-        want = max(by_width, by_pool, 1)
-        return int(min(want, cfg.max_shards, cells))
+        return int(min(by_width, cfg.max_shards, cells))
 
     def plan(
         self,
@@ -102,7 +93,6 @@ class CostModel:
         counts: np.ndarray,
         *,
         shard_count: int | None = None,
-        workers: int = 1,
     ) -> PartitionPlan:
         """Equi-depth partition plan for a block's sorted cell ``keys``
         with per-cell tuple ``counts``.
@@ -117,9 +107,7 @@ class CostModel:
             raise BuildError("keys and counts must align")
         if shard_count is not None and shard_count <= 0:
             raise BuildError(f"shard_count must be positive, got {shard_count}")
-        want = shard_count if shard_count is not None else self.shard_count(
-            keys.size, int(counts.sum()) if counts.size else 0, workers
-        )
+        want = shard_count if shard_count is not None else self.shard_count(keys.size)
         bounds = equi_depth_bounds(keys, counts, want)
         return PartitionPlan(shard_count=bounds.size - 1, bounds=bounds)
 

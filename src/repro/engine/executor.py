@@ -7,8 +7,9 @@ probe-and-aggregate loop of the system:
   ``run_batch`` locate all covering cells with two shared binary-search
   passes, lay Figure 8's per-cell cache decisions out as a contribution
   sequence, and reduce it through a handful of columnar kernel calls
-  (:mod:`repro.engine.kernels`).  Sharded blocks fan the segment
-  reductions out across shards (:mod:`repro.engine.shards`);
+  (:mod:`repro.engine.kernels`).  Sharded blocks run the same inline
+  reduction and only attach routing telemetry
+  (:mod:`repro.engine.shards`);
 * the **scalar** model (``block.query_mode = "scalar"``, set only by
   the experiment harness) replays the paper aggregate-at-a-time: the
   Figure 8 walk of :meth:`Executor.select_scalar` and the literal
@@ -74,8 +75,7 @@ class QueryResult:
     #: Shards in the executing block's partition (0 for unsharded
     #: blocks); set by the sharded executor's routing pass.
     shards_total: int = 0
-    #: Shards the partition router proved disjoint from the covering --
-    #: work for them was never submitted to the fan-out pool.
+    #: Shards the partition router proved disjoint from the covering.
     shards_pruned: int = 0
 
     def __getitem__(self, key: str) -> float:
@@ -162,16 +162,6 @@ class Executor:
         hi = np.searchsorted(keys, cellops.range_max_array(cells), side="right")
         return lo.astype(np.int64), hi.astype(np.int64)
 
-    def segment_partials(
-        self, lo: np.ndarray, hi: np.ndarray, columns: Sequence[str]
-    ) -> SegmentPartials:
-        """Per-segment partial aggregates (kernel stage 1).
-
-        Sharded blocks override this to fan the segment reductions out
-        per shard (:class:`repro.engine.shards.ShardedExecutor`).
-        """
-        return kernels.segment_partials(self.aggregates, lo, hi, columns)
-
     def cell_record(self, cell: int) -> np.ndarray:
         """Full-schema aggregate record of one cell (used to materialise
         AggregateTrie entries and to answer uncached trie children)."""
@@ -228,7 +218,7 @@ class Executor:
         One ``Accumulator.add_slice`` per covering cell and one
         ``add_record`` per trie hit, in covering order -- the float
         operation sequence the kernels restructure but must reproduce
-        bit for bit.  Single query, no batching, no shard fan-out; tests
+        bit for bit.  Single query, no batching; tests
         and the ``engine_batch_parity`` gate compare against it and no
         request is served through it.
         """
@@ -424,8 +414,9 @@ class Executor:
         ``add_slice`` / ``add_record`` calls :meth:`select_reference`
         makes (range partials for plain cells and uncached trie
         children, cached records for trie hits) -- then stage 1 computes
-        all range partials at once (:meth:`segment_partials`,
-        deduplicating repeated ranges when profitable) and stage 2 folds
+        all range partials at once
+        (:func:`~repro.engine.kernels.segment_partials`, deduplicating
+        repeated ranges when profitable) and stage 2 folds
         each query's sequence with the batched reductions of
         :mod:`repro.engine.kernels`.  Both stages reproduce the
         reference fold's float semantics bit for bit (see the kernels
@@ -662,13 +653,14 @@ class Executor:
             width = np.int64(self.aggregates.keys.size + 1)
             unique_pairs, inverse = np.unique(seg_lo * width + seg_hi, return_inverse=True)
             if unique_pairs.size < seg_lo.size:
-                unique = self.segment_partials(
+                unique = kernels.segment_partials(
+                    self.aggregates,
                     (unique_pairs // width).astype(np.int64),
                     (unique_pairs % width).astype(np.int64),
                     columns,
                 )
                 return unique.take(inverse)
-        return self.segment_partials(seg_lo, seg_hi, columns)
+        return kernels.segment_partials(self.aggregates, seg_lo, seg_hi, columns)
 
     # -- grouped execution (multi-region group-by) -----------------------
 

@@ -111,15 +111,6 @@ class SegmentPartials:
             {name: arr[indices] for name, arr in self.maxs.items()},
         )
 
-    def scatter_from(self, other: "SegmentPartials", positions: np.ndarray) -> None:
-        """Write ``other``'s entries into this object at ``positions``
-        (the sharded fan-out's merge step)."""
-        self.counts[positions] = other.counts
-        for name in self.sums:
-            self.sums[name][positions] = other.sums[name]
-            self.mins[name][positions] = other.mins[name]
-            self.maxs[name][positions] = other.maxs[name]
-
 
 def segment_partials(
     aggregates,  # noqa: ANN001 - CellAggregates (duck-typed, avoids an import cycle)

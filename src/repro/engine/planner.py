@@ -14,12 +14,11 @@ fingerprint, level)``, so every planner in the process -- one per
 block, view, shard partition, or baseline -- shares one bounded LRU,
 and a polygon parsed fresh from a wire payload hits the covering a
 previous request computed.  The tier is thread-safe, so planners may be
-driven from the sharded blocks' fan-out pool or a threaded serving
-adapter without coordination.
+driven from a threaded serving adapter without coordination.
 
 Separating the covering/planning step from the probe step follows the
 adaptive-join design of Kipf et al.: each side can be specialised (the
-planner caches and batches, the executor vectorises and shards) without
+planner caches and batches, the executor vectorises) without
 the other noticing.
 """
 

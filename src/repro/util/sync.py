@@ -2,8 +2,8 @@
 
 The stdlib has locks and conditions but no readers-writer lock, and the
 serving tier needs exactly one: queries may run concurrently with each
-other (the planner/result caches and the sharded fan-out pool are
-already internally synchronised), but :meth:`Dataset.append` mutates
+other (the planner/result caches are already internally
+synchronised), but :meth:`Dataset.append` mutates
 aggregate arrays in place -- the paper's single-writer, no-concurrent-
 reader model -- so a write must exclude every read and vice versa.
 

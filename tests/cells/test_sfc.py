@@ -78,7 +78,7 @@ class TestKeySpans:
         ids = random_cells(MAX_LEVEL, 64, seed=5)
         lo, hi = sfc.cell_key_spans(ids)
         assert np.array_equal(hi - lo, np.ones(64, dtype=np.int64))
-        assert np.array_equal(lo, sfc.leaf_keys(ids))
+        assert np.array_equal(lo, cellops.pos_from_leaf_ids(ids))
 
     @pytest.mark.parametrize("level", [0, 3, 12, 29])
     def test_span_width_matches_level(self, level):

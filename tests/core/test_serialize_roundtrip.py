@@ -52,7 +52,7 @@ class TestShardedRoundTrip:
         assert_same_answers(block, loaded, small_polygons)
 
     def test_sharded_batch_after_load(self, small_base, small_polygons, tmp_path):
-        block = ShardedGeoBlock.build(small_base, LEVEL)
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
         path = tmp_path / "sharded.npz"
         save(block, path)
         loaded = load(path)
@@ -212,7 +212,8 @@ class TestAdaptiveRoundTrip:
 
     def test_sharded_base_block_round_trips(self, small_base, small_polygons, tmp_path):
         adaptive = AdaptiveGeoBlock(
-            ShardedGeoBlock.build(small_base, LEVEL), CachePolicy(threshold=0.5)
+            ShardedGeoBlock.build(small_base, LEVEL, shard_count=8),
+            CachePolicy(threshold=0.5),
         )
         for polygon in small_polygons:
             adaptive.select(polygon, AGGS)
@@ -249,7 +250,7 @@ class TestUnifiedSaveLoad:
 
     def test_kind_property_matches_serialized_kind(self, small_base):
         assert GeoBlock.build(small_base, LEVEL).kind == "geoblock"
-        assert ShardedGeoBlock.build(small_base, LEVEL).kind == "sharded"
+        assert ShardedGeoBlock.build(small_base, LEVEL, shard_count=8).kind == "sharded"
 
 
 class TestAtomicSave:
@@ -266,7 +267,7 @@ class TestAtomicSave:
 
         monkeypatch.setattr(np, "savez_compressed", dies_partway)
         with pytest.raises(OSError, match="disk full"):
-            save(ShardedGeoBlock.build(small_base, LEVEL), path)
+            save(ShardedGeoBlock.build(small_base, LEVEL, shard_count=8), path)
         monkeypatch.undo()
         assert [entry.name for entry in tmp_path.iterdir()] == ["block.npz"]
         loaded = load(path)

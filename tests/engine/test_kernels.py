@@ -22,7 +22,7 @@ from repro.cells.union import CellUnion
 from repro.core import AdaptiveGeoBlock, AggSpec, CachePolicy, GeoBlock
 from repro.engine import kernels
 from repro.engine.executor import EXECUTION_MODES, merge_results
-from repro.engine.shards import MIN_RANGES_FOR_FANOUT, ShardedGeoBlock
+from repro.engine.shards import ShardedGeoBlock
 from repro.geometry import Polygon
 from repro.workloads.workload import Query
 
@@ -165,33 +165,24 @@ class TestPlainBlockParity:
 class TestShardedParity:
     @pytest.fixture(scope="class")
     def sharded(self, small_base) -> ShardedGeoBlock:
-        return ShardedGeoBlock.build(small_base, LEVEL)
+        return ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
 
     def test_select_matches_plain_reference(self, block, sharded, small_polygons):
+        """Every polygon, from a handful of covering cells to coverings
+        spanning several shards, answers bit-identically to the plain
+        block's reference fold."""
+        sizes = [len(sharded.plan(p).union) for p in small_polygons]
+        assert min(size for size in sizes if size) < 32 <= max(sizes)
         kernel = [sharded.select(p, AGGS) for p in small_polygons]
         assert_results_identical(reference(block, small_polygons), kernel)
 
     def test_batch_fans_out_and_matches(self, block, sharded, small_polygons):
-        """A batch large enough to clear the fan-out threshold must hit
-        the per-shard segment-partials path and stay bit-identical to
-        the plain block's reference fold (boundary-spanning cells
-        included)."""
+        """A batch over many shards stays bit-identical to the plain
+        block's reference fold (boundary-spanning cells included)."""
         polygons = list(small_polygons) * 6
-        total_cells = sum(len(sharded.plan(p).union) for p in small_polygons) * 6
-        assert total_cells >= MIN_RANGES_FOR_FANOUT
         assert sharded.num_shards > 1
         kernel = sharded.run_batch(polygons, aggs=AGGS)
         assert_results_identical(reference(block, polygons), kernel)
-
-    def test_fanout_below_threshold_inlines(self, block, sharded, small_polygons):
-        small = [
-            p
-            for p in small_polygons
-            if 0 < len(sharded.plan(p).union) < MIN_RANGES_FOR_FANOUT
-        ]
-        assert small
-        kernel = [sharded.select(p, AGGS) for p in small]
-        assert_results_identical(reference(block, small), kernel)
 
 
 class TestAdaptiveParity:

@@ -1,4 +1,4 @@
-"""PartitionRouter: pruning, conservativeness, epoch invalidation."""
+"""PartitionRouter: pruning, conservativeness, routing after splices."""
 
 from __future__ import annotations
 
@@ -87,39 +87,12 @@ class TestRouting:
         assert decision.pruned > 0
 
 
-class TestSegmentOwners:
-    def test_inside_boundary_and_empty(self, curve_block):
-        router = curve_block.router
-        s0, s1 = curve_block.shards[0], curve_block.shards[1]
-        lo = np.array([s0.lo, s0.hi - 1, s0.lo], dtype=np.int64)
-        hi = np.array([s0.hi - 1, s1.lo + 1, s0.lo], dtype=np.int64)
-        owners = router.segment_owners(lo, hi)
-        assert owners[0] == 0  # fully inside shard 0
-        assert owners[1] == -1  # spans the 0/1 boundary
-        assert owners[2] == -1  # empty segment
-
-    def test_owner_agrees_with_partition(self, curve_block):
-        router = curve_block.router
-        n = curve_block.num_cells
-        rng = np.random.default_rng(37)
-        lo = rng.integers(0, n - 1, 64, dtype=np.int64)
-        hi = lo + rng.integers(1, 50, 64, dtype=np.int64)
-        hi = np.minimum(hi, n)
-        owners = router.segment_owners(lo, hi)
-        for a, b, owner in zip(lo.tolist(), hi.tolist(), owners.tolist()):
-            inside = [
-                idx
-                for idx, s in enumerate(curve_block.shards)
-                if s.lo <= a and b <= s.hi
-            ]
-            if owner == -1:
-                assert not inside
-            else:
-                assert owner in inside
-
-
-class TestEpochInvalidation:
-    def _fresh(self) -> ShardedGeoBlock:
+class TestAfterSplice:
+    def test_splice_routes_new_cell_and_counts_like_plain(self):
+        """A splicing append needs no router upkeep: the new cell routes
+        to the shard whose key range holds it, and COUNT over it equals
+        the plain block's."""
+        from repro.core import GeoBlock
         from repro.storage import PointTable, Schema, extract
 
         rng = np.random.default_rng(55)
@@ -130,29 +103,20 @@ class TestEpochInvalidation:
             rng.normal(40.75, 0.03, count),
             {"fare": rng.gamma(3.0, 4.0, count)},
         )
-        return ShardedGeoBlock.build(extract(table, EARTH), 13, shard_count=4)
-
-    def test_in_place_update_keeps_cache(self):
-        block = self._fresh()
-        epoch = block.partition_epoch
-        block.router.route(CellUnion(block.aggregates.keys[:3].copy()))
-        apply_update(block, -73.95, 40.75, {"fare": 9.0})
-        assert block.partition_epoch == epoch  # rows did not move
-        assert block.router._layout()[0] == epoch
-
-    def test_splice_bumps_epoch_and_refreshes_cache(self):
-        block = self._fresh()
-        epoch = block.partition_epoch
-        router = block.router
-        router.route(CellUnion(block.aggregates.keys[:3].copy()))
-        assert router._cache[0] == epoch
-        in_place = apply_update(block, -73.5, 40.95, {"fare": 5.0})
-        assert not in_place
-        assert block.partition_epoch > epoch
-        # Next routing call rebuilds the layout for the new epoch and
-        # still covers all rows.
-        router.route(CellUnion(block.aggregates.keys[:3].copy()))
-        assert router._cache[0] == block.partition_epoch
-        starts = router._cache[3]
-        assert starts[0] == 0
-        assert bool((np.diff(starts) >= 0).all())
+        base = extract(table, EARTH)
+        block = ShardedGeoBlock.build(base, 13, shard_count=4)
+        plain = GeoBlock.build(base, 13)
+        assert block.num_shards > 1
+        for target in (block, plain):
+            assert not apply_update(target, -73.5, 40.95, {"fare": 5.0})
+        cell = cellid.parent(EARTH.leaf_id(-73.5, 40.95), 13)
+        union = CellUnion(np.array([cell], dtype=np.int64))
+        (key,) = sfc.cell_key_spans(union.ids)[0].tolist()
+        owner = next(
+            idx for idx, s in enumerate(block.shards) if s.key_lo <= key < s.key_hi
+        )
+        assert block.router.route(union).candidates.tolist() == [owner]
+        row = int(np.searchsorted(block.aggregates.keys, cell))
+        shard = block.shards[owner]
+        assert shard.lo <= row < shard.hi
+        assert block.count(union) == plain.count(union) == 1

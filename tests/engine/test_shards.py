@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ LEVEL = 14
 
 @pytest.fixture(scope="module")
 def sharded(small_base) -> ShardedGeoBlock:
-    return ShardedGeoBlock.build(small_base, LEVEL)
+    return ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +51,6 @@ class TestPartition:
         for (_, prev_hi), (next_lo, _) in zip(bounds, bounds[1:]):
             assert next_lo == prev_hi
 
-    def test_multiple_shards_by_default(self, sharded):
-        assert sharded.num_shards > 1
-
     def test_default_layout_is_curve(self, sharded):
         from repro.cells import sfc
 
@@ -64,6 +64,37 @@ class TestPartition:
             ShardedGeoBlock.build(small_base, LEVEL, shard_level=11)
         with pytest.raises(TypeError):
             ShardedGeoBlock.build(small_base, LEVEL, layout="prefix")
+
+    def test_worker_parameters_are_gone(self, small_base, plain):
+        """No thread pool: ``max_workers=`` is not accepted anywhere."""
+        with pytest.raises(TypeError):
+            ShardedGeoBlock.build(small_base, LEVEL, max_workers=2)
+        with pytest.raises(TypeError):
+            ShardedGeoBlock.from_block(plain, max_workers=2)
+
+    def test_default_layout_ignores_cpu_count(self, small_base, monkeypatch):
+        """The cost model sizes a default layout from the data alone."""
+        layouts = []
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            layouts.append(ShardedGeoBlock.build(small_base, LEVEL).splits)
+        assert np.array_equal(layouts[0], layouts[1])
+
+    def test_default_shard_count_follows_index_width(self):
+        from repro.engine.cost import CostModel
+
+        model = CostModel()
+        assert model.shard_count(40_445) == 20  # ceil(40,445 / 2048)
+        assert model.shard_count(2048) == 1
+        assert model.shard_count(0) == model.shard_count(1) == 1
+        assert model.shard_count(10**9) == model.config.max_shards
+
+    def test_shards_are_derived_from_splits(self, sharded):
+        """The shard table is recomputed on access, never stored: editing
+        a returned list cannot move the partition."""
+        shards = sharded.shards
+        shards.clear()
+        assert len(sharded.shards) == sharded.num_shards == len(sharded.splits) - 1
 
     def test_keys_respect_shard_key_ranges(self, sharded):
         """Every shard's rows carry leaf keys inside its key range, and
@@ -132,7 +163,7 @@ class TestQueryEquivalence:
             assert plain.count(polygon) == sharded.count(polygon)
 
     def test_batch_matches_sequential(self, sharded, small_polygons):
-        polygons = list(small_polygons) * 6  # force the fan-out path
+        polygons = list(small_polygons) * 6
         sequential = [sharded.select(p, AGGS) for p in polygons]
         batched = sharded.run_batch(polygons, aggs=AGGS)
         for want, got in zip(sequential, batched):
@@ -150,7 +181,7 @@ class TestQueryEquivalence:
         plain = GeoBlock.build(small_base, level)
         sharded = ShardedGeoBlock.build(small_base, level, shard_count=16)
         inner_splits = sharded.splits[1:-1]
-        polygons = list(small_polygons) * 4  # >= MIN_RANGES_FOR_FANOUT cells
+        polygons = list(small_polygons) * 4
         spans = [
             sfc.cell_key_spans(plain.covering(polygon).ids) for polygon in small_polygons
         ]
@@ -172,24 +203,33 @@ class TestQueryEquivalence:
                 else:
                     assert got.values[key] == value  # exact, not approx
 
-    def test_close_releases_and_recreates_pool(self, small_base, small_polygons):
-        with ShardedGeoBlock.build(small_base, LEVEL, shard_count=8) as block:
-            polygons = list(small_polygons) * 4
-            first = block.run_batch(polygons, aggs=AGGS)
-            block.close()  # explicit close mid-life: pool is re-created lazily
-            again = block.run_batch(polygons, aggs=AGGS)
-            for want, got in zip(first, again):
-                assert_close(want, got)
-        assert block._pool is None  # context exit shut the pool down
 
-    def test_single_worker_equals_pool(self, small_base, small_polygons):
-        solo = ShardedGeoBlock.build(small_base, LEVEL, max_workers=1)
-        pooled = ShardedGeoBlock.build(small_base, LEVEL, max_workers=4)
-        polygons = list(small_polygons) * 4
-        for want, got in zip(
-            solo.run_batch(polygons, aggs=AGGS), pooled.run_batch(polygons, aggs=AGGS)
-        ):
-            assert_close(want, got)
+
+class TestNoThreads:
+    """Sharded execution is inline: no call starts a thread."""
+
+    @pytest.mark.parametrize("call", ["select", "run_batch", "run_grouped", "append_rows"])
+    def test_thread_count_unchanged(self, call, small_base, small_polygons):
+        from repro.core.updates import append_rows
+
+        block = ShardedGeoBlock.build(small_base, LEVEL, shard_count=8)
+        polygons = list(small_polygons) * 6
+        before = threading.active_count()
+        if call == "select":
+            for polygon in polygons:
+                block.select(polygon, AGGS)
+        elif call == "run_batch":
+            block.run_batch(polygons, aggs=AGGS)
+        elif call == "run_grouped":
+            block.run_grouped(polygons, aggs=AGGS)
+        else:
+            append_rows(
+                block,
+                [{"x": -73.5, "y": 40.95, "fare": 5.0, "distance": 2.0},
+                 {"x": -73.98, "y": 40.75, "fare": 7.0, "distance": 1.0}],
+            )
+            block.run_batch(polygons, aggs=AGGS)
+        assert threading.active_count() == before
 
 
 class TestUpdates:
@@ -205,7 +245,9 @@ class TestUpdates:
             rng.normal(40.75, 0.03, count),
             {"fare": rng.gamma(3.0, 4.0, count), "distance": rng.gamma(2.0, 2.0, count)},
         )
-        return ShardedGeoBlock.build(extract(table, EARTH), level)
+        block = ShardedGeoBlock.build(extract(table, EARTH), level, shard_count=8)
+        assert block.num_shards > 1
+        return block
 
     def test_in_place_update_keeps_partition(self, quad_polygon):
         block = self._fresh()
@@ -264,7 +306,7 @@ class TestUpdates:
                 "distance": np.concatenate([rng2.gamma(2.0, 2.0, count), distances]),
             },
         )
-        rebuilt = ShardedGeoBlock.build(extract(table, EARTH), 13)
+        rebuilt = ShardedGeoBlock.build(extract(table, EARTH), 13, shard_count=8)
         probe = Polygon.regular(-73.9, 40.76, 0.06, 8)
         want = rebuilt.select(probe, AGGS)
         got = block.select(probe, AGGS)
@@ -309,7 +351,7 @@ class TestUpdates:
                 "distance": np.concatenate([rng2.gamma(2.0, 2.0, count), distances]),
             },
         )
-        rebuilt = ShardedGeoBlock.build(extract(table, EARTH), 13)
+        rebuilt = ShardedGeoBlock.build(extract(table, EARTH), 13, shard_count=8)
         probes = [
             Polygon.regular(-73.952, 40.751, 0.004, 8),  # the hot patch
             Polygon.regular(-73.95, 40.75, 0.05, 6),  # wide
@@ -323,3 +365,49 @@ class TestUpdates:
             # between incremental accumulation and a cold extract.
             for key, value in want.values.items():
                 assert got.values[key] == pytest.approx(value)
+
+    def test_empty_block_gets_one_range_then_appends(self, small_base, small_polygons):
+        """Built empty (a predicate no row matches), a sharded block gets
+        the single range ``[0, KEY_SPACE]`` at construction and routes to
+        0 shards; appends keep that range (one shard, whatever the
+        batching), and it answers exactly like a plain block."""
+        from repro.cells import sfc
+        from repro.core.updates import append_rows
+        from repro.storage.expr import col
+
+        nothing = col("fare") < -1.0
+        block = ShardedGeoBlock.build(small_base, LEVEL, nothing, shard_count=4)
+        plain = GeoBlock.build(small_base, LEVEL, nothing)
+        assert block.num_cells == 0
+        assert block.splits.tolist() == [0, sfc.KEY_SPACE]
+        assert block.shards == [] and block.num_shards == 0
+        result = block.select(small_polygons[0], AGGS)
+        assert (result.count, result.shards_total, result.shards_pruned) == (0, 0, 0)
+
+        rng = np.random.default_rng(8)
+        rows = [
+            {"x": float(x), "y": float(y), "fare": float(f), "distance": float(d)}
+            for x, y, f, d in zip(
+                rng.normal(-73.95, 0.04, 300),
+                rng.normal(40.75, 0.03, 300),
+                rng.gamma(3.0, 4.0, 300),
+                rng.gamma(2.0, 2.0, 300),
+            )
+        ]
+        append_rows(block, rows[:1])
+        block.select(small_polygons[0], AGGS)  # a read between appends moves nothing
+        append_rows(block, rows[1:])
+        append_rows(plain, rows)
+        assert block.splits.tolist() == [0, sfc.KEY_SPACE]
+        assert block.num_shards == 1
+        assert [(s.lo, s.hi) for s in block.shards] == [(0, block.num_cells)]
+        for polygon in small_polygons:
+            want = plain.select(polygon, AGGS)
+            got = block.select(polygon, AGGS)
+            assert got.shards_total == block.num_shards
+            assert got.count == want.count
+            for key, value in want.values.items():
+                if np.isnan(value):
+                    assert np.isnan(got.values[key])
+                else:
+                    assert got.values[key] == value
