@@ -73,7 +73,6 @@ from repro.cache import CacheConfig, TieredCache, configure as configure_cache, 
 from repro.cells import (
     EARTH,
     MAX_LEVEL,
-    CellId,
     CellSpace,
     CellUnion,
     RegionCoverer,
@@ -128,7 +127,6 @@ __all__ = [
     "BuildError",
     "CachePolicy",
     "CellError",
-    "CellId",
     "CellSpace",
     "CellUnion",
     "CleaningRules",

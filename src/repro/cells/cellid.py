@@ -1,25 +1,38 @@
-"""S2-style 64-bit cell identifiers.
+"""S2-style 64-bit cell identifiers and their arithmetic.
 
 A cell id encodes (level, curve position) in a single integer the way
 the S2 library does on one face: the position's ``2 * level`` bits are
 followed by a sentinel ``1`` bit and then zeros.  This yields the O(1)
 primitives GeoBlocks build on (Section 3.1 of the paper):
 
-* ``level``       -- from the position of the lowest set bit,
+* ``level_of`` / ``pos_of`` -- from the position of the lowest set bit,
 * ``range_min`` / ``range_max`` -- the contiguous id range of all
-  descendants, enabling containment checks as range inclusion and
-  "first/last child at the block level" lookups as simple arithmetic,
-* ``parent`` / ``children``     -- lsb shifts.
+  descendants, enabling containment checks as range inclusion,
+* ``parent`` / ``children`` -- lsb shifts.
 
-All functions here operate on plain Python ints; the array counterparts
-live in :mod:`repro.cells.cellops`.  The :class:`CellId` wrapper offers
-an ergonomic object API on top.
+Every rule is written once and takes either a Python int or an int64
+numpy array of ids (ids use at most 61 bits, so the signed type is
+safe and plays well with ``searchsorted``).  An int is validated and
+raises :class:`~repro.errors.CellError` when malformed; an array is
+trusted element-wise, since the ETL pipeline keys millions of points at
+a time.  The type is branched on only where the two forms differ.
+
+Key space
+---------
+
+A *curve key* is a cell's position along the space-filling curve at
+:data:`~repro.cells.curves.MAX_LEVEL` (the leaf grid).  Every cell at
+any level owns a contiguous half-open span ``[key_lo, key_hi)`` of that
+space (:func:`cell_key_spans`), and because aggregate arrays are sorted
+by cell id -- which orders cells by curve key -- *any* key interval maps
+to one contiguous row range.  That is the property equi-depth curve
+sharding (:mod:`repro.engine.shards`) and partition routing
+(:mod:`repro.engine.router`) rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Iterator
+import numpy as np
 
 from repro.cells.curves import MAX_LEVEL
 from repro.errors import CellError
@@ -30,6 +43,11 @@ ID_BITS = 2 * MAX_LEVEL + 1
 #: Smallest and largest valid ids (the two extreme leaf cells).
 MIN_ID = 1
 MAX_ID = (1 << ID_BITS) - 1
+
+#: Size of the leaf curve-key space: one key per level-30 grid cell.
+KEY_SPACE = 1 << (2 * MAX_LEVEL)
+
+_Ids = int | np.ndarray
 
 
 def make_id(level: int, pos: int) -> int:
@@ -50,47 +68,63 @@ def is_valid(cell_id: int) -> bool:
     """
     if not MIN_ID <= cell_id <= MAX_ID:
         return False
-    return (lsb(cell_id).bit_length() - 1) % 2 == 0
+    return ((cell_id & -cell_id).bit_length() - 1) % 2 == 0
 
 
-def _require_valid(cell_id: int) -> None:
-    if not is_valid(cell_id):
-        raise CellError(f"invalid cell id: {cell_id:#x}")
+def _checked(ids: _Ids) -> _Ids:
+    """``ids`` ready for arithmetic: an int validated, an array as int64."""
+    if isinstance(ids, np.ndarray):
+        return ids.astype(np.int64, copy=False)
+    if not is_valid(ids):
+        raise CellError(f"invalid cell id: {ids:#x}")
+    return ids
 
 
-def lsb(cell_id: int) -> int:
+def lsb(ids: _Ids) -> _Ids:
     """Lowest set bit of the id (the sentinel)."""
-    return cell_id & -cell_id
+    return ids & -ids
 
 
-def level_of(cell_id: int) -> int:
+def _sentinel_offset(ids: _Ids) -> _Ids:
+    """Bit offset of the sentinel: ``bit_length`` of the lowest set bit
+    for an int, its exact ``log2`` for an array (a power of two below
+    2^62 is exactly representable as a double)."""
+    ids = _checked(ids)
+    if isinstance(ids, np.ndarray):
+        return np.log2(lsb(ids).astype(np.float64)).astype(np.int64)
+    return lsb(ids).bit_length() - 1
+
+
+def level_of(ids: _Ids) -> _Ids:
     """Subdivision level encoded in the id."""
-    _require_valid(cell_id)
-    return MAX_LEVEL - (lsb(cell_id).bit_length() - 1) // 2
+    return MAX_LEVEL - _sentinel_offset(ids) // 2
 
 
-def pos_of(cell_id: int) -> int:
+def pos_of(ids: _Ids) -> _Ids:
     """Curve position encoded in the id."""
-    _require_valid(cell_id)
-    shift = lsb(cell_id).bit_length()  # sentinel offset + 1
-    return cell_id >> shift
+    return ids >> (_sentinel_offset(ids) + 1)
 
 
-def is_leaf(cell_id: int) -> bool:
-    """True for ids at :data:`~repro.cells.curves.MAX_LEVEL`."""
-    return bool(cell_id & 1) and MIN_ID <= cell_id <= MAX_ID
-
-
-def range_min(cell_id: int) -> int:
+def range_min(ids: _Ids) -> _Ids:
     """Smallest leaf id contained in the cell."""
-    _require_valid(cell_id)
-    return cell_id - (lsb(cell_id) - 1)
+    ids = _checked(ids)
+    return ids - (lsb(ids) - 1)
 
 
-def range_max(cell_id: int) -> int:
+def range_max(ids: _Ids) -> _Ids:
     """Largest leaf id contained in the cell."""
-    _require_valid(cell_id)
-    return cell_id + (lsb(cell_id) - 1)
+    ids = _checked(ids)
+    return ids + (lsb(ids) - 1)
+
+
+def cell_key_spans(ids: _Ids) -> tuple[_Ids, _Ids]:
+    """Half-open leaf-key span ``[lo, hi)`` of every cell.
+
+    A level-``l`` cell owns exactly ``4**(MAX_LEVEL - l)`` leaf keys;
+    the span bounds come straight from the id's descendant range, so
+    mixed-level inputs -- a query covering -- are fine.
+    """
+    return range_min(ids) >> 1, (range_max(ids) >> 1) + 1
 
 
 def contains(ancestor: int, descendant: int) -> bool:
@@ -99,131 +133,59 @@ def contains(ancestor: int, descendant: int) -> bool:
     Thanks to the prefix encoding this is a constant-time range check,
     the property Listing 1 of the paper exploits for pruning.
     """
-    _require_valid(ancestor)
-    _require_valid(descendant)
-    return range_min(ancestor) <= descendant <= range_max(ancestor)
+    return range_min(ancestor) <= _checked(descendant) <= range_max(ancestor)
 
 
-def parent(cell_id: int, level: int | None = None) -> int:
-    """Ancestor of ``cell_id`` at ``level`` (default: one level up)."""
-    own_level = level_of(cell_id)
-    if level is None:
-        level = own_level - 1
-    if not 0 <= level <= own_level:
-        raise CellError(f"cannot take level-{level} parent of a level-{own_level} cell")
-    if level == own_level:
-        return cell_id
+def parent(ids: _Ids, level: int | None = None) -> _Ids:
+    """Ancestor at ``level`` (default for an int: one level up).
+
+    On an array this is the single-pass "re-keying" step of GeoBlock
+    builds: leaf keys produced once during extract are mapped to
+    block-level keys by one vectorised mask-and-or.  An array needs an
+    explicit ``level``; its ids are assumed no coarser than it.
+    """
+    if isinstance(ids, np.ndarray):
+        if level is None or not 0 <= level <= MAX_LEVEL:
+            raise CellError(f"level must be in [0, {MAX_LEVEL}], got {level}")
+        ids = ids.astype(np.int64, copy=False)
+    else:
+        own_level = level_of(ids)
+        if level is None:
+            level = own_level - 1
+        if not 0 <= level <= own_level:
+            raise CellError(f"cannot take level-{level} parent of a level-{own_level} cell")
     new_lsb = 1 << (2 * (MAX_LEVEL - level))
-    return (cell_id & ~(new_lsb - 1)) | new_lsb
+    return (ids & ~(new_lsb - 1)) | new_lsb
+
+
+#: ``2 * index + 1`` for child indices 0..3, in curve order.
+_CHILD_ODDS = (1, 3, 5, 7)
+
+
+def _child(ids: _Ids, odd: _Ids) -> _Ids:
+    """Child ``index`` is ``id - lsb + (lsb >> 2) * (2 * index + 1)``;
+    an ``(n, 1)`` column of ids against all odds gives ``(n, 4)``."""
+    low = lsb(ids)
+    return ids - low + (low >> 2) * odd
+
+
+def children(ids: _Ids) -> list[int] | np.ndarray:
+    """All four children in curve order.
+
+    A list of four for an int; for an array, a flat ``(4n,)`` array
+    holding each parent's four children in curve order, so a sorted
+    same-level input gives a sorted output.
+    """
+    if isinstance(ids, np.ndarray):
+        column = ids.astype(np.int64, copy=False)[:, None]
+        return _child(column, _CHILD_ODDS).reshape(-1)
+    if level_of(ids) >= MAX_LEVEL:
+        raise CellError("leaf cells have no children")
+    return [_child(ids, odd) for odd in _CHILD_ODDS]
 
 
 def child(cell_id: int, index: int) -> int:
     """The ``index``-th (0..3, curve order) child of the cell."""
     if not 0 <= index <= 3:
         raise CellError(f"child index must be in [0, 3], got {index}")
-    own_level = level_of(cell_id)
-    if own_level >= MAX_LEVEL:
-        raise CellError("leaf cells have no children")
-    child_lsb = lsb(cell_id) >> 2
-    return cell_id - lsb(cell_id) + child_lsb * (2 * index + 1)
-
-
-def children(cell_id: int) -> list[int]:
-    """All four children in curve order."""
-    return [child(cell_id, index) for index in range(4)]
-
-
-def first_child_at(cell_id: int, level: int) -> int:
-    """First descendant of the cell at ``level`` (Listing 2, line 5)."""
-    own_level = level_of(cell_id)
-    if not own_level <= level <= MAX_LEVEL:
-        raise CellError(f"target level {level} below cell level {own_level}")
-    target_lsb = 1 << (2 * (MAX_LEVEL - level))
-    return cell_id - lsb(cell_id) + target_lsb
-
-
-def last_child_at(cell_id: int, level: int) -> int:
-    """Last descendant of the cell at ``level`` (Listing 2, line 6)."""
-    own_level = level_of(cell_id)
-    if not own_level <= level <= MAX_LEVEL:
-        raise CellError(f"target level {level} below cell level {own_level}")
-    target_lsb = 1 << (2 * (MAX_LEVEL - level))
-    return cell_id + lsb(cell_id) - target_lsb
-
-
-def children_at(cell_id: int, level: int) -> Iterator[int]:
-    """Iterate every descendant at ``level`` in curve order (Listing 1,
-    line 12).  The count is 4**(level - cell_level); iterate lazily."""
-    step = 2 << (2 * (MAX_LEVEL - level))
-    current = first_child_at(cell_id, level)
-    last = last_child_at(cell_id, level)
-    while current <= last:
-        yield current
-        current += step
-
-
-def next_sibling_id(cell_id: int, level: int | None = None) -> int:
-    """The id immediately following the cell at its own (or given) level.
-
-    May be invalid when ``cell_id`` is the last cell of its level; use
-    together with range checks.
-    """
-    if level is not None:
-        cell_id = parent(cell_id, level)
-    return cell_id + 2 * lsb(cell_id)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class CellId:
-    """Value-type wrapper around a raw 64-bit cell id.
-
-    Ordering follows the raw id, which interleaves levels along the
-    space-filling curve -- the storage order of GeoBlock aggregates.
-    """
-
-    id: int
-
-    def __post_init__(self) -> None:
-        _require_valid(self.id)
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_level_pos(cls, level: int, pos: int) -> "CellId":
-        return cls(make_id(level, pos))
-
-    # -- structure ------------------------------------------------------
-
-    @property
-    def level(self) -> int:
-        return level_of(self.id)
-
-    @property
-    def pos(self) -> int:
-        return pos_of(self.id)
-
-    @property
-    def is_leaf(self) -> bool:
-        return is_leaf(self.id)
-
-    def range_min(self) -> int:
-        return range_min(self.id)
-
-    def range_max(self) -> int:
-        return range_max(self.id)
-
-    def parent(self, level: int | None = None) -> "CellId":
-        return CellId(parent(self.id, level))
-
-    def child(self, index: int) -> "CellId":
-        return CellId(child(self.id, index))
-
-    def children(self) -> list["CellId"]:
-        return [CellId(raw) for raw in children(self.id)]
-
-    def contains(self, other: "CellId | int") -> bool:
-        raw = other.id if isinstance(other, CellId) else other
-        return contains(self.id, raw)
-
-    def __repr__(self) -> str:
-        return f"CellId(level={self.level}, pos={self.pos:#x})"
+    return children(cell_id)[index]

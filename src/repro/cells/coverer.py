@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cells import cellid, cellops
+from repro.cells import cellid
 from repro.cells.curves import MAX_LEVEL
 from repro.cells.space import CellSpace
 from repro.cells.union import CellUnion
@@ -87,10 +87,6 @@ class RegionCoverer:
         """Interior covering: every cell lies fully inside the region."""
         return self._cover_vectorised(region, level, interior=True)
 
-    def fixed_level_covering(self, region: Region, level: int) -> CellUnion:
-        """Exterior covering with every cell at exactly ``level``."""
-        return self.covering(region, level).to_level(level)
-
     def covering_scalar(self, region: Region, level: int, interior: bool = False) -> CellUnion:
         """Reference implementation: per-cell recursive classification."""
         return self._cover_scalar(region, level, interior)
@@ -118,7 +114,7 @@ class RegionCoverer:
                 if not interior:
                     output.append(boundary)
                 break
-            frontier = _children_of(boundary)
+            frontier = cellid.children(boundary)
             current_level += 1
         if not output:
             return CellUnion(np.empty(0, dtype=np.int64))
@@ -157,11 +153,7 @@ class RegionCoverer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised cell bounds for a same-level frontier."""
         domain = self._space.domain
-        # Positions at `level` are the top bits of the leaf position.
-        pos = cellops.pos_from_leaf_ids(cellops.range_min_array(frontier)) >> np.int64(
-            2 * (MAX_LEVEL - level)
-        )
-        i, j = self._space.curve.decode_array(pos, level)
+        i, j = self._space.curve.decode_array(cellid.pos_of(frontier), level)
         side = 1 << level
         width = domain.width / side
         height = domain.height / side
@@ -206,15 +198,6 @@ class RegionCoverer:
                 stack.append((cellid.child(cell, index), active))
         output.sort()
         return CellUnion(np.asarray(output, dtype=np.int64), assume_sorted=True)
-
-
-def _children_of(cells: np.ndarray) -> np.ndarray:
-    """All four children of every cell, in curve order per parent."""
-    lsb = cellops.lsb_array(cells)
-    child_lsb = lsb >> np.int64(2)
-    base = cells - lsb
-    offsets = (2 * np.arange(4, dtype=np.int64) + 1)
-    return (base[:, None] + child_lsb[:, None] * offsets[None, :]).reshape(-1)
 
 
 class _EdgeSet:

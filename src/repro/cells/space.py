@@ -46,26 +46,28 @@ class CellSpace:
 
     # -- coordinate quantisation ------------------------------------------
 
-    def to_ij(self, x: float, y: float, level: int = MAX_LEVEL) -> tuple[int, int]:
-        """Quantise a point to discrete (i, j) cell coordinates."""
-        side = 1 << level
-        i = int((x - self.domain.min_x) / self.domain.width * side)
-        j = int((y - self.domain.min_y) / self.domain.height * side)
-        return min(max(i, 0), side - 1), min(max(j, 0), side - 1)
+    def to_ij(
+        self, x: float | np.ndarray, y: float | np.ndarray, level: int = MAX_LEVEL
+    ) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
+        """Quantise points to discrete (i, j) cell coordinates.
 
-    def to_ij_arrays(
-        self, xs: np.ndarray, ys: np.ndarray, level: int = MAX_LEVEL
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`to_ij`, equal to it for every finite point
-        (clamping before the cast keeps far-out points from wrapping)."""
+        Floats give ints and float arrays give int64 arrays, equal point
+        for point.  Points outside the domain clamp onto its border (an
+        array clamps before the cast, so far-out points cannot wrap); a
+        coordinate that is not finite raises :class:`CellError`.
+        """
         side = 1 << level
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        i = (xs - self.domain.min_x) / self.domain.width * side
-        j = (ys - self.domain.min_y) / self.domain.height * side
-        np.clip(i, 0, side - 1, out=i)
-        np.clip(j, 0, side - 1, out=j)
-        return i.astype(np.int64), j.astype(np.int64)
+        i = (x - self.domain.min_x) / self.domain.width * side
+        j = (y - self.domain.min_y) / self.domain.height * side
+        if isinstance(i, np.ndarray):
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise CellError("cannot key a point with a coordinate that is not finite")
+            np.clip(i, 0, side - 1, out=i)
+            np.clip(j, 0, side - 1, out=j)
+            return i.astype(np.int64), j.astype(np.int64)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CellError(f"cannot key the point ({x}, {y}): a coordinate is not finite")
+        return min(max(int(i), 0), side - 1), min(max(int(j), 0), side - 1)
 
     # -- point -> cell ------------------------------------------------------
 
@@ -81,7 +83,9 @@ class CellSpace:
 
     def leaf_ids(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`leaf_id` -- the bulk keying step of extract."""
-        i, j = self.to_ij_arrays(xs, ys, MAX_LEVEL)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        i, j = self.to_ij(xs, ys)
         pos = self.curve.encode_array(i, j, MAX_LEVEL)
         return (pos << 1) | 1
 

@@ -12,8 +12,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.cells import cellid, cellops
-from repro.cells.curves import MAX_LEVEL
+from repro.cells import cellid
 from repro.errors import CellError
 
 
@@ -27,8 +26,8 @@ class CellUnion:
         if not assume_sorted:
             arr = np.sort(arr)
         self._ids = arr
-        self._range_min = cellops.range_min_array(arr)
-        self._range_max = cellops.range_max_array(arr)
+        self._range_min = cellid.range_min(arr)
+        self._range_max = cellid.range_max(arr)
         if arr.size > 1 and bool((self._range_min[1:] <= self._range_max[:-1]).any()):
             raise CellError("cell union cells must be disjoint")
 
@@ -74,17 +73,13 @@ class CellUnion:
 
     def levels(self) -> np.ndarray:
         """Level of every cell in the union."""
-        return cellops.level_array(self._ids)
+        return cellid.level_of(self._ids)
 
     def max_level(self) -> int:
         """Finest level present (drives the error bound of a covering)."""
         if not len(self):
             raise CellError("empty cell union has no levels")
         return int(self.levels().max())
-
-    def num_leaves(self) -> int:
-        """Total number of leaf cells covered."""
-        return int(((self._range_max - self._range_min) // 2 + 1).sum())
 
     # -- pruning (Listing 1, lines 5-6) ----------------------------------------
 
@@ -99,10 +94,6 @@ class CellUnion:
 
     # -- membership ---------------------------------------------------------------
 
-    def contains_leaf(self, leaf_id: int) -> bool:
-        index = int(np.searchsorted(self._range_min, leaf_id, side="right")) - 1
-        return index >= 0 and leaf_id <= int(self._range_max[index])
-
     def contains_leaves(self, leaf_ids: np.ndarray) -> np.ndarray:
         """Vectorised leaf membership (used for ground-truth accounting)."""
         leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
@@ -115,77 +106,8 @@ class CellUnion:
         result[valid] = leaf_ids[valid] <= self._range_max[clipped][valid]
         return result
 
-    # -- transformations ------------------------------------------------------------
-
-    def to_level(self, level: int) -> "CellUnion":
-        """Expand every cell into its descendants at ``level``.
-
-        Mirrors Listing 1 line 12 (mapping covering cells to block-level
-        cells).  Cells already at ``level`` pass through; finer cells are
-        rejected, as coverings never contain cells below the block level.
-        """
-        if not len(self):
-            return self
-        if self.max_level() > level:
-            raise CellError("cell union already finer than requested level")
-        expanded: list[int] = []
-        for raw in self._ids.tolist():
-            expanded.extend(cellid.children_at(raw, level))
-        return CellUnion(np.asarray(expanded, dtype=np.int64), assume_sorted=True)
-
-    def normalized(self) -> "CellUnion":
-        """Canonical form: complete sibling quadruples merged into parents."""
-        ids = self._ids.tolist()
-        changed = True
-        while changed:
-            changed = False
-            merged: list[int] = []
-            index = 0
-            while index < len(ids):
-                raw = ids[index]
-                level = cellid.level_of(raw)
-                if (
-                    level > 0
-                    and index + 3 < len(ids)
-                    and ids[index + 3] == cellid.last_child_at(cellid.parent(raw), level)
-                    and ids[index] == cellid.first_child_at(cellid.parent(raw), level)
-                    and ids[index + 1] == cellid.child(cellid.parent(raw), 1)
-                    and ids[index + 2] == cellid.child(cellid.parent(raw), 2)
-                ):
-                    merged.append(cellid.parent(raw))
-                    index += 4
-                    changed = True
-                else:
-                    merged.append(raw)
-                    index += 1
-            ids = merged
-        return CellUnion(np.asarray(ids, dtype=np.int64), assume_sorted=True)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if not len(self):
             return "CellUnion(empty)"
         return f"CellUnion(n={len(self)}, levels={sorted(set(self.levels().tolist()))})"
 
-
-def union_of_leaf_range(first_leaf: int, last_leaf: int) -> CellUnion:
-    """Minimal cell union covering exactly the leaf range [first, last].
-
-    Greedy construction: repeatedly take the largest aligned cell that
-    starts at the current position and fits in the remaining range.
-    """
-    if first_leaf > last_leaf:
-        return CellUnion(np.empty(0, dtype=np.int64))
-    if not (cellid.is_leaf(first_leaf) and cellid.is_leaf(last_leaf)):
-        raise CellError("range endpoints must be leaf ids")
-    cells: list[int] = []
-    current = first_leaf
-    while current <= last_leaf:
-        cell = current
-        for level in range(MAX_LEVEL - 1, -1, -1):
-            candidate = cellid.parent(current, level)
-            if cellid.range_min(candidate) != current or cellid.range_max(candidate) > last_leaf:
-                break
-            cell = candidate
-        cells.append(cell)
-        current = cellid.range_max(cell) + 2
-    return CellUnion(np.asarray(cells, dtype=np.int64), assume_sorted=True)

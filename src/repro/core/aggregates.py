@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cells import cellops
+from repro.cells import cellid
 from repro.cells.curves import MAX_LEVEL
 from repro.errors import BuildError, QueryError
 from repro.storage.etl import BaseData
@@ -33,6 +33,23 @@ def record_offsets(schema: Schema, columns) -> list[tuple[str, int]]:  # noqa: A
     columnar kernels' record-matrix scatter.
     """
     return [(name, 1 + 3 * schema.position(name)) for name in columns]
+
+
+def sort_and_group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal keys in an already *sorted* key array.
+
+    Returns ``(unique_keys, group_starts, group_counts)`` where
+    ``group_starts`` are offsets into the sorted array -- exactly the
+    (cell key, base-data offset, tuple count) triple of a cell aggregate.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    boundaries = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    starts = np.concatenate([[0], boundaries]).astype(np.int64)
+    counts = np.diff(np.concatenate([starts, [keys.size]])).astype(np.int64)
+    return keys[starts], starts, counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +132,8 @@ class CellAggregates:
         if not 0 <= level <= MAX_LEVEL:
             raise BuildError(f"block level must be in [0, {MAX_LEVEL}], got {level}")
         leaf_keys = base.keys
-        block_keys = cellops.ancestors_at_level(leaf_keys, level)
-        unique_keys, starts, counts = cellops.sort_and_group(block_keys)
+        block_keys = cellid.parent(leaf_keys, level)
+        unique_keys, starts, counts = sort_and_group(block_keys)
         ends = starts + counts
         sums: dict[str, np.ndarray] = {}
         mins: dict[str, np.ndarray] = {}
@@ -152,11 +169,11 @@ class CellAggregates:
     def coarsen(self, level: int) -> "CellAggregates":
         """Re-aggregate to a coarser level in one pass over the
         aggregates, without touching the base data (Section 3.4)."""
-        current_levels = cellops.level_array(self.keys) if self.keys.size else np.empty(0)
+        current_levels = cellid.level_of(self.keys) if self.keys.size else np.empty(0)
         if self.keys.size and int(current_levels.min()) < level:
             raise BuildError("cannot coarsen: aggregates contain cells above the target level")
-        parent_keys = cellops.ancestors_at_level(self.keys, level)
-        unique_keys, starts, group_sizes = cellops.sort_and_group(parent_keys)
+        parent_keys = cellid.parent(self.keys, level)
+        unique_keys, starts, group_sizes = sort_and_group(parent_keys)
         if unique_keys.size == 0:
             return CellAggregates(
                 self.schema,

@@ -19,7 +19,7 @@ runners -- flows through this package's two-stage pipeline:
 
 :mod:`repro.engine.shards` adds sharded blocks: plain blocks plus
 fixed split points into equi-depth ranges of the space-filling curve
-key (:mod:`repro.cells.sfc`), picked by the cost model
+key (:mod:`repro.cells.cellid`), picked by the cost model
 (:mod:`repro.engine.cost`), with per-query shard pruning reported by
 the :class:`~repro.engine.router.PartitionRouter`
 (:mod:`repro.engine.router`).  The engine is the seam later scaling

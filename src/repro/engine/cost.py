@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cells import cellops, sfc
+from repro.cells import cellid
 from repro.errors import BuildError
 
 
@@ -57,7 +57,7 @@ class PartitionPlan:
         bounds = np.asarray(self.bounds, dtype=np.int64)
         if bounds.ndim != 1 or bounds.size < 2:
             raise BuildError("partition bounds need at least [0, KEY_SPACE]")
-        if bounds[0] != 0 or bounds[-1] != sfc.KEY_SPACE:
+        if bounds[0] != 0 or bounds[-1] != cellid.KEY_SPACE:
             raise BuildError("partition bounds must span the full key space")
         if bounds.size > 2 and not bool((np.diff(bounds) > 0).all()):
             raise BuildError("partition bounds must be strictly increasing")
@@ -126,7 +126,7 @@ def equi_depth_bounds(keys: np.ndarray, counts: np.ndarray, shard_count: int) ->
     keys = np.asarray(keys, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if shard_count <= 1 or keys.size <= 1:
-        return np.array([0, sfc.KEY_SPACE], dtype=np.int64)
+        return np.array([0, cellid.KEY_SPACE], dtype=np.int64)
     shard_count = min(shard_count, keys.size)
     cum = np.cumsum(counts, dtype=np.int64)
     total = int(cum[-1])
@@ -138,14 +138,14 @@ def equi_depth_bounds(keys: np.ndarray, counts: np.ndarray, shard_count: int) ->
     rows = np.unique(rows)
     rows = rows[(rows > 0) & (rows < keys.size)]
     if rows.size == 0:
-        return np.array([0, sfc.KEY_SPACE], dtype=np.int64)
-    starts = cellops.range_min_array(keys[rows]) >> 1
+        return np.array([0, cellid.KEY_SPACE], dtype=np.int64)
+    starts = cellid.range_min(keys[rows]) >> 1
     inner = np.unique(starts)
-    inner = inner[(inner > 0) & (inner < sfc.KEY_SPACE)]
+    inner = inner[(inner > 0) & (inner < cellid.KEY_SPACE)]
     return np.concatenate(
         (
             np.array([0], dtype=np.int64),
             inner.astype(np.int64),
-            np.array([sfc.KEY_SPACE], dtype=np.int64),
+            np.array([cellid.KEY_SPACE], dtype=np.int64),
         )
     )

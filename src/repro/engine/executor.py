@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cells import cellid, cellops
+from repro.cells import cellid
 from repro.cells.union import CellUnion
 from repro.core.aggregates import Accumulator, AggSpec, record_offsets
 from repro.engine import kernels
@@ -158,8 +158,8 @@ class Executor:
         :meth:`cell_range`, used for trie-child lookups)."""
         keys = self.aggregates.keys
         cells = np.asarray(cells, dtype=np.int64)
-        lo = np.searchsorted(keys, cellops.range_min_array(cells), side="left")
-        hi = np.searchsorted(keys, cellops.range_max_array(cells), side="right")
+        lo = np.searchsorted(keys, cellid.range_min(cells), side="left")
+        hi = np.searchsorted(keys, cellid.range_max(cells), side="right")
         return lo.astype(np.int64), hi.astype(np.int64)
 
     def cell_record(self, cell: int) -> np.ndarray:

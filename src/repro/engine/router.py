@@ -2,7 +2,7 @@
 
 The router maps a query's covering cells onto the block's split points:
 each covering cell owns a contiguous curve-key span
-(:func:`repro.cells.sfc.cell_key_spans`), each shard owns the key range
+(:func:`repro.cells.cellid.cell_key_spans`), each shard owns the key range
 between two consecutive split points, and a shard is a *candidate* only
 if some covering cell's span intersects it.  The decision is taken on
 int64 interval arithmetic alone, without touching aggregate data, and
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cells import sfc
+from repro.cells import cellid
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class PartitionRouter:
         if n == 0 or ids.size == 0:
             return RoutingDecision(total=n, candidates=np.empty(0, dtype=np.int64))
         bounds = self._block.splits
-        lo, hi = sfc.cell_key_spans(ids)
+        lo, hi = cellid.cell_key_spans(ids)
         first = np.searchsorted(bounds[1:], lo, side="right")
         last = np.searchsorted(bounds[:-1], hi, side="left")  # exclusive
         live = first < last

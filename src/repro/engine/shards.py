@@ -6,7 +6,7 @@ serialisation API, and the same answers bit for bit, because it runs
 the plain executor over the same arrays -- plus a fixed set of
 **curve-key split points** and the routing telemetry derived from them.
 The aggregate array is sorted by cell id, and cell-id order *is* curve
-order (:mod:`repro.cells.sfc`), so any key interval is a contiguous row
+order (:mod:`repro.cells.cellid`), so any key interval is a contiguous row
 range; the split points adapt to the data: the cost model
 (:mod:`repro.engine.cost`) places them at tuple-weighted quantiles of
 the key distribution, so skewed data still yields balanced shards.
@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cells import cellops
 from repro.core.aggregates import AggSpec, CellAggregates
 from repro.core.geoblock import GeoBlock
 from repro.engine.cost import CostModel
@@ -225,7 +224,7 @@ class ShardedGeoBlock(GeoBlock):
         keys = self._aggregates.keys
         if keys.size == 0:
             return []
-        rows = np.searchsorted(keys, cellops.leaf_ids_from_pos(bounds[1:-1]), side="left")
+        rows = np.searchsorted(keys, (bounds[1:-1] << 1) | 1, side="left")
         row_bounds = [0, *rows.tolist(), int(keys.size)]
         key_bounds = bounds.tolist()
         return [

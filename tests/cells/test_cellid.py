@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells import cellid
-from repro.cells.cellid import CellId
 from repro.cells.curves import MAX_LEVEL
+from repro.cells.space import EARTH
 from repro.errors import CellError
 
 valid_levels = st.integers(min_value=0, max_value=MAX_LEVEL)
@@ -19,6 +20,13 @@ def cells(draw, min_level: int = 0, max_level: int = MAX_LEVEL):
     level = draw(st.integers(min_value=min_level, max_value=max_level))
     pos = draw(st.integers(min_value=0, max_value=4**level - 1))
     return cellid.make_id(level, pos)
+
+
+def random_cells(level: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-180.0, 180.0, count)
+    ys = rng.uniform(-90.0, 90.0, count)
+    return cellid.parent(EARTH.leaf_ids(xs, ys), level)
 
 
 class TestEncoding:
@@ -39,7 +47,6 @@ class TestEncoding:
         for pos in (0, 1, 12345, 4**MAX_LEVEL - 1):
             raw = cellid.make_id(MAX_LEVEL, pos)
             assert raw % 2 == 1
-            assert cellid.is_leaf(raw)
 
     def test_is_valid_rejects_garbage(self):
         assert not cellid.is_valid(0)
@@ -94,26 +101,11 @@ class TestHierarchy:
         assert cellid.level_of(ancestor) == level
         assert cellid.contains(ancestor, raw)
 
-    def test_first_last_child_at(self):
-        cell = cellid.make_id(10, 999)
-        first = cellid.first_child_at(cell, 14)
-        last = cellid.last_child_at(cell, 14)
-        assert cellid.level_of(first) == 14
-        assert cellid.level_of(last) == 14
-        assert cellid.range_min(first) == cellid.range_min(cell)
-        assert cellid.range_max(last) == cellid.range_max(cell)
-
-    def test_children_at_enumerates_in_order(self):
-        cell = cellid.make_id(5, 123)
-        grandchildren = list(cellid.children_at(cell, 7))
-        assert len(grandchildren) == 16
-        assert grandchildren == sorted(grandchildren)
-        for gc in grandchildren:
-            assert cellid.contains(cell, gc)
-
-    def test_next_sibling(self):
-        cell = cellid.make_id(4, 7)
-        assert cellid.next_sibling_id(cell) == cellid.make_id(4, 8)
+    def test_child_index_validation(self):
+        with pytest.raises(CellError):
+            cellid.child(cellid.make_id(3, 0), 4)
+        with pytest.raises(CellError):
+            cellid.child(cellid.make_id(MAX_LEVEL, 1), 0)
 
 
 class TestContainment:
@@ -139,27 +131,37 @@ class TestContainment:
                     assert not cellid.contains(a, b)
 
 
-class TestCellIdWrapper:
-    def test_wrapper_api(self):
-        cell = CellId.from_level_pos(9, 1000)
-        assert cell.level == 9
-        assert cell.pos == 1000
-        assert not cell.is_leaf
-        assert cell.parent().level == 8
-        assert cell.children()[2].parent() == cell
-        assert cell.contains(cell.children()[0])
+class TestKeySpans:
+    def test_leaf_span_width_one(self):
+        ids = random_cells(MAX_LEVEL, 64, seed=5)
+        lo, hi = cellid.cell_key_spans(ids)
+        assert np.array_equal(hi - lo, np.ones(64, dtype=np.int64))
+        assert np.array_equal(lo, ids >> 1)
 
-    def test_wrapper_ordering_matches_raw(self):
-        a = CellId.from_level_pos(5, 10)
-        b = CellId.from_level_pos(5, 11)
-        assert (a < b) == (a.id < b.id)
+    @pytest.mark.parametrize("level", [0, 3, 12, 29])
+    def test_span_width_matches_level(self, level):
+        ids = random_cells(level, 32, seed=level + 7)
+        lo, hi = cellid.cell_key_spans(ids)
+        assert bool((hi - lo == 4 ** (MAX_LEVEL - level)).all())
+        assert bool((lo >= 0).all()) and bool((hi <= cellid.KEY_SPACE).all())
 
-    def test_wrapper_rejects_invalid(self):
-        with pytest.raises(CellError):
-            CellId(0)
+    def test_parent_span_contains_child_span(self):
+        child = random_cells(15, 50, seed=8)
+        parent = np.array(
+            [cellid.parent(int(c), 9) for c in child], dtype=np.int64
+        )
+        clo, chi = cellid.cell_key_spans(child)
+        plo, phi = cellid.cell_key_spans(parent)
+        assert bool((plo <= clo).all()) and bool((chi <= phi).all())
 
-    def test_child_index_validation(self):
-        with pytest.raises(CellError):
-            cellid.child(cellid.make_id(3, 0), 4)
-        with pytest.raises(CellError):
-            cellid.child(cellid.make_id(MAX_LEVEL, 1), 0)
+    def test_root_cells_tile_key_space(self):
+        quadrant_centres = EARTH.leaf_ids(
+            np.array([-90.0, -90.0, 90.0, 90.0]), np.array([-45.0, 45.0, -45.0, 45.0])
+        )
+        ids = np.unique(cellid.parent(quadrant_centres, 1))
+        assert ids.size == 4
+        lo, hi = cellid.cell_key_spans(np.sort(ids))
+        assert lo[0] == 0
+        assert hi[-1] == cellid.KEY_SPACE
+        assert np.array_equal(lo[1:], hi[:-1])
+

@@ -117,7 +117,8 @@ class TestMultiPolygon:
         union = coverer.covering(MultiPolygon([left, right]), 12)
         for part in (left, right):
             cx, cy = part.centroid()
-            assert union.contains_leaf(EARTH.leaf_id(cx, cy))
+            leaf = EARTH.leaf_ids(np.array([cx]), np.array([cy]))
+            assert union.contains_leaves(leaf).tolist() == [True]
 
 
 class TestErrorBound:

@@ -14,6 +14,7 @@ from repro.cells.curves import MAX_LEVEL, MORTON
 from repro.cells.space import EARTH, EARTH_BOUNDS, CellSpace
 from repro.errors import CellError
 from repro.geometry.bbox import BoundingBox
+from repro.storage import PointTable, Schema, extract
 
 lon = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 lat = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
@@ -122,6 +123,20 @@ class TestKeying:
         inside = EARTH.leaf_id(180.0, 90.0)
         outside = EARTH.leaf_id(200.0, 95.0)
         assert inside == outside
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        """Neither form keys a point that is not finite: no silent
+        level-30 key for NaN or inf, with or without cleaning rules."""
+        with pytest.raises(CellError):
+            EARTH.cell_at(bad, 40.7)
+        with pytest.raises(CellError):
+            EARTH.cell_at(-73.9, bad, 12)
+        table = PointTable(
+            Schema([]), np.array([bad, -73.9]), np.array([40.7, 40.7]), {}
+        )
+        with pytest.raises(CellError):
+            extract(table, EARTH)
 
 
 class TestCellGeometry:

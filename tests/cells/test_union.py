@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cells import cellid
-from repro.cells.union import CellUnion, union_of_leaf_range
+from repro.cells.union import CellUnion
 from repro.errors import CellError
 
 
@@ -33,16 +31,19 @@ class TestConstruction:
         union = CellUnion(np.empty(0, dtype=np.int64))
         assert len(union) == 0
         assert not union
-        assert not union.contains_leaf(cellid.make_id(30, 5))
+        leaf = np.array([cellid.make_id(30, 5)], dtype=np.int64)
+        assert union.contains_leaves(leaf).tolist() == [False]
 
 
 class TestMembership:
     def test_contains_leaf(self):
         cell = cellid.make_id(10, 99)
         union = _union_of(cell)
-        assert union.contains_leaf(cellid.range_min(cell))
-        assert union.contains_leaf(cellid.range_max(cell))
-        assert not union.contains_leaf(cellid.range_max(cell) + 2)
+        leaves = np.asarray(
+            [cellid.range_min(cell), cellid.range_max(cell), cellid.range_max(cell) + 2],
+            dtype=np.int64,
+        )
+        assert union.contains_leaves(leaves).tolist() == [True, True, False]
 
     def test_contains_leaves_vectorised(self):
         cells = [cellid.make_id(8, pos) for pos in (3, 9, 12)]
@@ -52,10 +53,6 @@ class TestMembership:
             dtype=np.int64,
         )
         assert union.contains_leaves(leaves).tolist() == [True, False, True]
-
-    def test_num_leaves(self):
-        cell = cellid.make_id(29, 7)  # one level above leaves: 4 leaves
-        assert _union_of(cell).num_leaves() == 4
 
 
 class TestPruning:
@@ -71,68 +68,6 @@ class TestPruning:
         union = _union_of(cell)
         pruned = union.prune_outside(cellid.range_max(cell) - 10, cellid.range_max(cell) + 100)
         assert len(pruned) == 1
-
-
-class TestTransforms:
-    def test_to_level_expands(self):
-        cell = cellid.make_id(4, 3)
-        expanded = _union_of(cell).to_level(6)
-        assert len(expanded) == 16
-        assert (expanded.levels() == 6).all()
-        assert expanded.ids.tolist() == sorted(cellid.children_at(cell, 6))
-
-    def test_to_level_rejects_finer_input(self):
-        cell = cellid.make_id(10, 3)
-        with pytest.raises(CellError):
-            _union_of(cell).to_level(9)
-
-    def test_normalized_merges_complete_families(self):
-        parent = cellid.make_id(7, 21)
-        union = CellUnion(np.asarray(cellid.children(parent), dtype=np.int64))
-        assert union.normalized().ids.tolist() == [parent]
-
-    def test_normalized_keeps_partial_families(self):
-        parent = cellid.make_id(7, 21)
-        kids = cellid.children(parent)[:3]
-        union = CellUnion(np.asarray(kids, dtype=np.int64))
-        assert union.normalized() == union
-
-    def test_normalized_cascades(self):
-        grandparent = cellid.make_id(6, 2)
-        leaves = []
-        for kid in cellid.children(grandparent):
-            leaves.extend(cellid.children(kid))
-        union = CellUnion(np.asarray(leaves, dtype=np.int64))
-        assert union.normalized().ids.tolist() == [grandparent]
-
-
-class TestLeafRangeUnion:
-    @given(
-        st.integers(min_value=0, max_value=4**10 - 1),
-        st.integers(min_value=0, max_value=2000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_covers_exactly_the_range(self, start_pos, extent):
-        # Work at a coarse leaf granularity to keep ranges small.
-        first = cellid.make_id(30, start_pos)
-        last = cellid.make_id(30, min(start_pos + extent, 4**30 - 1))
-        union = union_of_leaf_range(first, last)
-        assert union.num_leaves() == (last - first) // 2 + 1
-        assert union.contains_leaf(first)
-        assert union.contains_leaf(last)
-        if first > cellid.MIN_ID:
-            assert not union.contains_leaf(first - 2)
-        assert not union.contains_leaf(last + 2)
-
-    def test_empty_range(self):
-        a = cellid.make_id(30, 10)
-        b = cellid.make_id(30, 5)
-        assert len(union_of_leaf_range(a, b)) == 0
-
-    def test_aligned_range_collapses_to_one_cell(self):
-        cell = cellid.make_id(12, 345)
-        union = union_of_leaf_range(cellid.range_min(cell), cellid.range_max(cell))
-        assert union.ids.tolist() == [cell]
 
 
 class TestEquality:

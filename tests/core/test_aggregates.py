@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cells import EARTH, cellops
-from repro.core.aggregates import Accumulator, AggSpec, CellAggregates
+from repro.cells import EARTH, cellid
+from repro.core.aggregates import Accumulator, AggSpec, CellAggregates, sort_and_group
 from repro.errors import BuildError, QueryError
 from repro.storage.etl import extract
 from repro.storage.schema import Schema
@@ -30,7 +32,7 @@ class TestBuild:
     def test_matches_brute_force_groups(self, base):
         level = 12
         aggregates = CellAggregates.build(base, level)
-        block_keys = cellops.ancestors_at_level(base.keys, level)
+        block_keys = cellid.parent(base.keys, level)
         values = base.table.column("v")
         for row in range(0, len(aggregates), max(1, len(aggregates) // 25)):
             key = aggregates.keys[row]
@@ -178,3 +180,35 @@ class TestAggSpec:
             AggSpec("median", "v")
         with pytest.raises(QueryError):
             AggSpec("sum")
+
+
+class TestGrouping:
+    def test_sort_and_group_basics(self):
+        keys = np.array([3, 3, 3, 7, 9, 9], dtype=np.int64)
+        unique, starts, counts = sort_and_group(keys)
+        assert unique.tolist() == [3, 7, 9]
+        assert starts.tolist() == [0, 3, 4]
+        assert counts.tolist() == [3, 1, 2]
+
+    def test_sort_and_group_empty(self):
+        unique, starts, counts = sort_and_group(np.empty(0, dtype=np.int64))
+        assert unique.size == starts.size == counts.size == 0
+
+    def test_sort_and_group_single_group(self):
+        keys = np.full(17, 42, dtype=np.int64)
+        unique, starts, counts = sort_and_group(keys)
+        assert unique.tolist() == [42]
+        assert counts.tolist() == [17]
+
+    @given(st.lists(st.integers(min_value=0, max_value=30), min_size=0, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_sum_to_input(self, values):
+        keys = np.sort(np.asarray(values, dtype=np.int64))
+        unique, starts, counts = sort_and_group(keys)
+        assert counts.sum() == keys.size
+        # offsets + counts reconstruct the boundaries
+        rebuilt = []
+        for u, s, c in zip(unique.tolist(), starts.tolist(), counts.tolist()):
+            rebuilt.extend([u] * c)
+            assert (keys[s : s + c] == u).all()
+        assert rebuilt == keys.tolist()

@@ -36,7 +36,7 @@ class TestLayout:
 
     def test_deep_insert_allocates_per_level(self, root):
         builder = TrieBuilder(root, WIDTH, budget_bytes=10_000)
-        deep = cellid.first_child_at(root, 8)  # 4 levels below the root
+        deep = cellid.parent(cellid.range_min(root), 8)  # 4 levels below the root
         builder.insert(deep, _record(2.0))
         trie = builder.finish()
         assert trie.num_nodes == 1 + 4 * 4
@@ -96,7 +96,7 @@ class TestProbing:
 
     def test_cached_cells_introspection(self, root):
         builder = TrieBuilder(root, WIDTH, budget_bytes=10_000)
-        cells = [cellid.child(root, 1), cellid.first_child_at(root, 7)]
+        cells = [cellid.child(root, 1), cellid.parent(cellid.range_min(root), 7)]
         for index, cell in enumerate(cells):
             builder.insert(cell, _record(float(index)))
         trie = builder.finish()
@@ -112,7 +112,7 @@ class TestBudget:
         assert builder.would_fit(cellid.child(root, 0))
         builder.insert(cellid.child(root, 0), _record(1.0))
         # A sibling fits only its record now (block already allocated).
-        assert not builder.would_fit(cellid.first_child_at(root, 9))
+        assert not builder.would_fit(cellid.parent(cellid.range_min(root), 9))
         assert builder.would_fit(cellid.child(root, 1)) is False  # record exceeds budget
 
     def test_zero_budget_fits_nothing(self, root):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cells import EARTH, cellid, sfc
+from repro.cells import EARTH, cellid
 from repro.cells.union import CellUnion
 from repro.core.updates import apply_update
 from repro.engine.shards import ShardedGeoBlock
@@ -20,7 +20,7 @@ def curve_block(small_base) -> ShardedGeoBlock:
 
 def brute_force_candidates(block, ids) -> set[int]:
     """Per-cell Python reference for the vectorised interval routing."""
-    lo, hi = sfc.cell_key_spans(np.asarray(ids, dtype=np.int64))
+    lo, hi = cellid.cell_key_spans(np.asarray(ids, dtype=np.int64))
     hits: set[int] = set()
     for m, M in zip(lo.tolist(), hi.tolist()):
         for idx, shard in enumerate(block.shards):
@@ -111,7 +111,7 @@ class TestAfterSplice:
             assert not apply_update(target, -73.5, 40.95, {"fare": 5.0})
         cell = cellid.parent(EARTH.leaf_id(-73.5, 40.95), 13)
         union = CellUnion(np.array([cell], dtype=np.int64))
-        (key,) = sfc.cell_key_spans(union.ids)[0].tolist()
+        (key,) = cellid.cell_key_spans(union.ids)[0].tolist()
         owner = next(
             idx for idx, s in enumerate(block.shards) if s.key_lo <= key < s.key_hi
         )

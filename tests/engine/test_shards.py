@@ -52,11 +52,11 @@ class TestPartition:
             assert next_lo == prev_hi
 
     def test_default_layout_is_curve(self, sharded):
-        from repro.cells import sfc
+        from repro.cells import cellid
 
         assert sharded.splits is not None
         assert sharded.splits[0] == 0
-        assert sharded.splits[-1] == sfc.KEY_SPACE
+        assert sharded.splits[-1] == cellid.KEY_SPACE
 
     def test_prefix_layout_parameters_are_gone(self, small_base):
         """One layout: the retired prefix-layout knobs are not accepted."""
@@ -99,11 +99,11 @@ class TestPartition:
     def test_keys_respect_shard_key_ranges(self, sharded):
         """Every shard's rows carry leaf keys inside its key range, and
         the ranges tile the full curve-key space."""
-        from repro.cells import sfc
+        from repro.cells import cellid
 
         keys = sharded.aggregates.keys
         assert sharded.shards[0].key_lo == 0
-        assert sharded.shards[-1].key_hi == sfc.KEY_SPACE
+        assert sharded.shards[-1].key_hi == cellid.KEY_SPACE
         for prev, nxt in zip(sharded.shards, sharded.shards[1:]):
             assert nxt.key_lo == prev.key_hi
         lo_pos = (keys >> 1).astype(np.int64)  # leaf start position per cell
@@ -175,7 +175,7 @@ class TestQueryEquivalence:
         identical to the plain block, including covering cells coarser
         than a shard (ranges spanning shard boundaries, which used to be
         merged from rounded per-shard partials)."""
-        from repro.cells import sfc
+        from repro.cells import cellid
 
         level = 16
         plain = GeoBlock.build(small_base, level)
@@ -183,7 +183,7 @@ class TestQueryEquivalence:
         inner_splits = sharded.splits[1:-1]
         polygons = list(small_polygons) * 4
         spans = [
-            sfc.cell_key_spans(plain.covering(polygon).ids) for polygon in small_polygons
+            cellid.cell_key_spans(plain.covering(polygon).ids) for polygon in small_polygons
         ]
         spanning_capable = sum(
             int(np.count_nonzero(
@@ -371,7 +371,7 @@ class TestUpdates:
         the single range ``[0, KEY_SPACE]`` at construction and routes to
         0 shards; appends keep that range (one shard, whatever the
         batching), and it answers exactly like a plain block."""
-        from repro.cells import sfc
+        from repro.cells import cellid
         from repro.core.updates import append_rows
         from repro.storage.expr import col
 
@@ -379,7 +379,7 @@ class TestUpdates:
         block = ShardedGeoBlock.build(small_base, LEVEL, nothing, shard_count=4)
         plain = GeoBlock.build(small_base, LEVEL, nothing)
         assert block.num_cells == 0
-        assert block.splits.tolist() == [0, sfc.KEY_SPACE]
+        assert block.splits.tolist() == [0, cellid.KEY_SPACE]
         assert block.shards == [] and block.num_shards == 0
         result = block.select(small_polygons[0], AGGS)
         assert (result.count, result.shards_total, result.shards_pruned) == (0, 0, 0)
@@ -398,7 +398,7 @@ class TestUpdates:
         block.select(small_polygons[0], AGGS)  # a read between appends moves nothing
         append_rows(block, rows[1:])
         append_rows(plain, rows)
-        assert block.splits.tolist() == [0, sfc.KEY_SPACE]
+        assert block.splits.tolist() == [0, cellid.KEY_SPACE]
         assert block.num_shards == 1
         assert [(s.lo, s.hi) for s in block.shards] == [(0, block.num_cells)]
         for polygon in small_polygons:
