@@ -47,6 +47,7 @@ class TestEncoding:
         for pos in (0, 1, 12345, 4**MAX_LEVEL - 1):
             raw = cellid.make_id(MAX_LEVEL, pos)
             assert raw % 2 == 1
+            assert cellid.level_of(raw) == MAX_LEVEL
 
     def test_is_valid_rejects_garbage(self):
         assert not cellid.is_valid(0)
@@ -100,6 +101,32 @@ class TestHierarchy:
         ancestor = cellid.parent(raw, level)
         assert cellid.level_of(ancestor) == level
         assert cellid.contains(ancestor, raw)
+
+    def test_first_last_child_at(self):
+        cell = cellid.make_id(10, 999)
+        first = cellid.parent(cellid.range_min(cell), 14)
+        last = cellid.parent(cellid.range_max(cell), 14)
+        assert cellid.level_of(first) == 14
+        assert cellid.level_of(last) == 14
+        assert cellid.range_min(first) == cellid.range_min(cell)
+        assert cellid.range_max(last) == cellid.range_max(cell)
+
+    def test_children_at_enumerates_in_order(self):
+        cell = cellid.make_id(5, 123)
+        grandchildren = cellid.children(cellid.children(np.array([cell]))).tolist()
+        assert len(grandchildren) == 16
+        assert grandchildren == sorted(grandchildren)
+        for gc in grandchildren:
+            assert cellid.level_of(gc) == 7
+            assert cellid.contains(cell, gc)
+
+    def test_next_sibling(self):
+        """Consecutive cells of a level tile the leaf range: the next
+        sibling starts one leaf id step (2) after this cell ends."""
+        cell = cellid.make_id(4, 7)
+        sibling = cellid.make_id(4, 8)
+        assert cellid.range_min(sibling) == cellid.range_max(cell) + 2
+        assert cellid.cell_key_spans(sibling)[0] == cellid.cell_key_spans(cell)[1]
 
     def test_child_index_validation(self):
         with pytest.raises(CellError):

@@ -60,6 +60,69 @@ class TestIntArrayAgreement:
             assert kids[4 * k : 4 * k + 4].tolist() == cellid.children(int(ids[k]))
 
 
+def _random_ids(rng: np.random.Generator, count: int) -> np.ndarray:
+    levels = rng.integers(0, MAX_LEVEL + 1, count)
+    out = np.empty(count, dtype=np.int64)
+    for index in range(count):
+        level = int(levels[index])
+        pos = int(rng.integers(0, 4**level)) if level else 0
+        out[index] = cellid.make_id(level, pos)
+    return out
+
+
+@pytest.fixture(scope="module")
+def ids() -> np.ndarray:
+    return _random_ids(np.random.default_rng(11), 500)
+
+
+class TestAgainstScalar:
+    """Fixed-seed regression companions to the properties above."""
+
+    def test_level_array(self, ids):
+        expected = [cellid.level_of(int(raw)) for raw in ids]
+        assert cellid.level_of(ids).tolist() == expected
+
+    def test_range_arrays(self, ids):
+        assert cellid.range_min(ids).tolist() == [cellid.range_min(int(raw)) for raw in ids]
+        assert cellid.range_max(ids).tolist() == [cellid.range_max(int(raw)) for raw in ids]
+
+    @pytest.mark.parametrize("level", [0, 5, 14, MAX_LEVEL])
+    def test_first_last_child_arrays(self, level):
+        """The first and last descendant at a finer ``level`` are the
+        level-``level`` ancestors of the cell's extreme leaves."""
+        rng = np.random.default_rng(4)
+        coarse = np.array(
+            [cellid.make_id(level_i, int(rng.integers(0, 4**level_i)))
+             for level_i in rng.integers(0, level + 1, 100)],
+            dtype=np.int64,
+        )
+        firsts = cellid.parent(cellid.range_min(coarse), level)
+        lasts = cellid.parent(cellid.range_max(coarse), level)
+        for raw, first, last in zip(coarse.tolist(), firsts.tolist(), lasts.tolist()):
+            shift = 2 * (level - cellid.level_of(raw))
+            pos = cellid.pos_of(raw)
+            assert first == cellid.make_id(level, pos << shift)
+            assert last == cellid.make_id(level, ((pos + 1) << shift) - 1)
+            assert first == cellid.parent(cellid.range_min(raw), level)
+            assert last == cellid.parent(cellid.range_max(raw), level)
+
+    @pytest.mark.parametrize("level", [0, 3, 17, 29])
+    def test_ancestors_at_level(self, level):
+        rng = np.random.default_rng(21)
+        leaves = (rng.integers(0, 4**MAX_LEVEL, 200) << 1) | 1
+        ancestors = cellid.parent(leaves, level)
+        for leaf, anc in zip(leaves.tolist(), ancestors.tolist()):
+            assert anc == cellid.parent(leaf, level)
+
+    def test_leaf_pos_roundtrip(self):
+        pos = np.arange(1000, dtype=np.int64) * 7919
+        leaves = (pos << 1) | 1
+        assert (leaves >> 1 == pos).all()
+        assert (cellid.pos_of(leaves) == pos).all()
+        assert (cellid.level_of(leaves) == MAX_LEVEL).all()
+        assert leaves.tolist() == [cellid.make_id(MAX_LEVEL, int(p)) for p in pos]
+
+
 class TestArrayValidation:
     def test_parent_level_bounds(self):
         ids = np.array([cellid.make_id(5, 1)], dtype=np.int64)

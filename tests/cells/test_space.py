@@ -139,6 +139,105 @@ class TestKeying:
             extract(table, EARTH)
 
 
+MORTON_EARTH = CellSpace(EARTH_BOUNDS, curve=MORTON)
+
+
+def grid_cells(space: CellSpace, i: np.ndarray, j: np.ndarray, level: int) -> np.ndarray:
+    """Ids of the level-``level`` cells at grid ``(i, j)``, keyed the way
+    extract and block builds do: leaf ids of the cell centres, then one
+    vectorised ``parent``."""
+    width, height = space.cell_size(level)
+    xs = space.domain.min_x + (i + 0.5) * width
+    ys = space.domain.min_y + (j + 0.5) * height
+    return cellid.parent(space.leaf_ids(xs, ys), level)
+
+
+def grid_of(space: CellSpace, ids: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid ``(i, j)`` of level-``level`` cell ids."""
+    return space.curve.decode_array(cellid.pos_of(ids), level)
+
+
+def random_grid_cells(level: int, count: int, seed: int, space: CellSpace = EARTH) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    side = 1 << level
+    i = rng.integers(0, side, count, dtype=np.int64)
+    j = rng.integers(0, side, count, dtype=np.int64)
+    return grid_cells(space, i, j, level)
+
+
+class TestGridRoundTrip:
+    @pytest.mark.parametrize("level", [0, 1, 2, 5, 11, 18, 25, MAX_LEVEL])
+    def test_encode_decode_round_trip(self, level):
+        ids = random_grid_cells(level, 500, seed=level + 1)
+        i, j = grid_of(EARTH, ids, level)
+        back = grid_cells(EARTH, i, j, level)
+        assert np.array_equal(back, ids)
+        assert bool((cellid.level_of(back) == level).all())
+
+    @pytest.mark.parametrize("space", [EARTH, MORTON_EARTH], ids=["hilbert", "morton"])
+    def test_exhaustive_small_level(self, space):
+        level = 4
+        side = 1 << level
+        i, j = np.meshgrid(np.arange(side, dtype=np.int64), np.arange(side, dtype=np.int64))
+        ids = grid_cells(space, i.ravel(), j.ravel(), level)
+        assert np.unique(ids).size == side * side  # bijection over the grid
+        ri, rj = grid_of(space, ids, level)
+        assert np.array_equal(ri, i.ravel())
+        assert np.array_equal(rj, j.ravel())
+        for raw, gi, gj in zip(ids.tolist(), ri.tolist(), rj.tolist()):
+            assert space.cell_at(*space.cell_center(raw), level) == raw
+            assert space.to_ij(*space.cell_center(raw), level) == (gi, gj)
+
+    def test_parent_grid_halves(self):
+        """A cell's parent sits at the halved grid coordinates, on both
+        curves: the curves nest level by level."""
+        for space in (EARTH, MORTON_EARTH):
+            ids = random_grid_cells(10, 200, seed=3, space=space)
+            i, j = grid_of(space, ids, 10)
+            pi, pj = grid_of(space, cellid.parent(ids, 9), 9)
+            assert np.array_equal(pi, i >> 1)
+            assert np.array_equal(pj, j >> 1)
+
+    def test_level_out_of_range_raises(self):
+        with pytest.raises(CellError):
+            EARTH.cell_at(10.0, 20.0, MAX_LEVEL + 1)
+        with pytest.raises(CellError):
+            EARTH.cell_size(MAX_LEVEL + 1)
+        with pytest.raises(CellError):
+            cellid.parent(np.empty(0, dtype=np.int64), MAX_LEVEL + 1)
+
+    def test_empty_input(self):
+        ids = EARTH.leaf_ids(np.empty(0), np.empty(0))
+        assert ids.dtype == np.int64 and ids.size == 0
+        i, j = grid_of(EARTH, cellid.parent(ids, 7), 7)
+        assert i.size == 0 and j.size == 0
+
+
+def rekey(ids: np.ndarray, level: int, source: CellSpace, target: CellSpace) -> np.ndarray:
+    """The same grid cells' ids under ``target``'s curve."""
+    i, j = grid_of(source, ids, level)
+    return grid_cells(target, i, j, level)
+
+
+class TestRekey:
+    @pytest.mark.parametrize("level", [1, 6, 13, 20, MAX_LEVEL])
+    def test_rekey_is_exact_inverse(self, level):
+        ids = random_grid_cells(level, 400, seed=level)
+        there = rekey(ids, level, EARTH, MORTON_EARTH)
+        back = rekey(there, level, MORTON_EARTH, EARTH)
+        assert np.array_equal(back, ids)
+        for raw, moved in list(zip(ids.tolist(), there.tolist()))[:20]:
+            assert MORTON_EARTH.cell_at(*EARTH.cell_center(raw), level) == moved
+
+    def test_rekey_same_curve_is_identity(self):
+        ids = random_grid_cells(9, 100, seed=42)
+        assert np.array_equal(rekey(ids, 9, EARTH, EARTH), ids)
+
+    def test_rekey_changes_keys_across_curves(self):
+        ids = random_grid_cells(9, 100, seed=43)
+        assert not np.array_equal(rekey(ids, 9, EARTH, MORTON_EARTH), ids)
+
+
 class TestCellGeometry:
     def test_cell_bounds_nest(self):
         cell = EARTH.cell_at(-73.98, 40.75, 10)

@@ -54,6 +54,14 @@ class TestMembership:
         )
         assert union.contains_leaves(leaves).tolist() == [True, False, True]
 
+    def test_num_leaves(self):
+        cell = cellid.make_id(29, 7)  # one level above leaves: 4 leaves
+        union = _union_of(cell)
+        lo, hi = cellid.cell_key_spans(union.ids)
+        assert int((hi - lo).sum()) == 4
+        leaves = cellid.range_min(cell) + 2 * np.arange(-1, 5, dtype=np.int64)
+        assert union.contains_leaves(leaves).tolist() == [False, True, True, True, True, False]
+
 
 class TestPruning:
     def test_prune_outside(self):
