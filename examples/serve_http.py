@@ -10,7 +10,7 @@ the same server `python -m repro.server` runs in the foreground):
 4. batch a dashboard sweep through one POST,
 5. append rows over HTTP and watch the version bump invalidate the
    edge entry (the same bump that invalidates the result tier),
-6. drive it with 8 concurrent clients through the load harness,
+6. drive it with 8 concurrent clients, one thread and one GeoClient each,
 7. read the /stats telemetry: server counters, edge, cache tiers.
 
 Run with:  PYTHONPATH=src python examples/serve_http.py
@@ -19,9 +19,10 @@ Run with:  PYTHONPATH=src python examples/serve_http.py
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 from repro import EARTH, Dataset, GeoService, extract, level_for_max_diagonal
-from repro.bench.loadgen import run_load
 from repro.data import nyc_cleaning_rules, nyc_taxi
 from repro.server import EdgeCache, GeoClient, GeoHTTPServer
 
@@ -77,13 +78,24 @@ def main() -> None:
             print(f"  next query: X-Cache {after.x_cache} (entry invalidated), "
                   f"count {after.body['data']['count']:,}")
 
-        # 6. The load harness: 8 clients, 5 requests each, one barrier.
-        result = run_load(server, [[payload] * 5 for _ in range(8)])
-        summary = result.summary()
-        print(f"\nLoad: {len(result.replies)} requests from {result.clients} clients "
-              f"in {result.elapsed_s * 1e3:.0f} ms "
-              f"({summary['qps']:.0f} QPS, p50 {summary['p50_ms']:.1f} ms, "
-              f"p99 {summary['p99_ms']:.1f} ms)")
+        # 6. Concurrent clients: 8 threads, each with its own keep-alive
+        #    connection (a GeoClient is not thread-safe), 5 requests each.
+        statuses: list[int] = []
+
+        def dashboard_user() -> None:
+            with GeoClient.for_server(server) as own:
+                statuses.extend(own.query(payload).status for _ in range(5))
+
+        users = [threading.Thread(target=dashboard_user) for _ in range(8)]
+        start = time.perf_counter()
+        for user in users:
+            user.start()
+        for user in users:
+            user.join()
+        elapsed = time.perf_counter() - start
+        print(f"\nLoad: {len(statuses)} requests from {len(users)} clients "
+              f"in {elapsed * 1e3:.0f} ms ({len(statuses) / elapsed:.0f} QPS), "
+              f"all 200: {set(statuses) == {200}}")
 
         # 7. Telemetry: counters + edge + tiered-cache stats in one GET.
         with GeoClient.for_server(server) as client:

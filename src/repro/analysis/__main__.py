@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="house-rule static analysis: float determinism, lock "
-        "discipline, wire-surface consistency, bench-baseline hygiene",
+        "discipline, wire-surface consistency",
     )
     parser.add_argument(
         "--root",

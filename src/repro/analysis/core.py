@@ -47,7 +47,7 @@ class Rule:
 
 #: Every rule the subsystem knows, in reporting order.  The IDs are
 #: grouped by family: FD* float determinism, LD* lock discipline,
-#: WS* wire surface, BB* bench baselines, PG* pragma hygiene.
+#: WS* wire surface, PG* pragma hygiene.
 RULES: tuple[Rule, ...] = (
     Rule(
         "FD001",
@@ -153,29 +153,6 @@ RULES: tuple[Rule, ...] = (
         "Unknown hints are rejected with bad_hint, so a hint the README "
         "documents but the parser dropped breaks every client that "
         "follows the docs, and an undocumented one is invisible.",
-    ),
-    Rule(
-        "BB001",
-        "scenario-without-baseline",
-        "registered bench scenario has no checked-in BENCH_*.json",
-        "The regression gate compares against repo-root baselines; a "
-        "scenario without one is silently ungated.",
-    ),
-    Rule(
-        "BB002",
-        "orphan-baseline",
-        "checked-in BENCH_*.json names no registered scenario",
-        "An orphan baseline is dead weight that the compare step skips "
-        "forever -- usually a renamed scenario whose old file was left "
-        "behind.",
-    ),
-    Rule(
-        "BB003",
-        "invalid-baseline",
-        "checked-in baseline fails the result schema (or names the wrong scenario)",
-        "compare trusts the baseline's embedded thresholds and strict "
-        "metrics; a schema-invalid or mislabelled file corrupts the "
-        "gate instead of failing it.",
     ),
     Rule(
         "PG001",

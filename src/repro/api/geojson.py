@@ -72,7 +72,8 @@ def _parse_polygon_coordinates(coordinates: object, where: str) -> Polygon:
     try:
         return Polygon(vertices)
     except GeometryError as error:
-        raise _bad(f"{where}: {error}") from error
+        details = {} if error.position is None else {"position": error.position}
+        raise _bad(f"{where}: {error}", **details) from error
 
 
 def region_from_geojson(obj: object) -> Polygon | MultiPolygon:

@@ -48,6 +48,7 @@ channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -189,6 +190,8 @@ def parse_region(payload: object) -> Polygon | MultiPolygon | BoundingBox:
             raise ApiError(
                 BAD_REGION, "'bbox' must be [min_x, min_y, max_x, max_y] numbers"
             )
+        if not all(math.isfinite(value) for value in bbox):
+            raise ApiError(BAD_REGION, "'bbox' values must be finite")
         try:
             return BoundingBox(*(float(value) for value in bbox))
         except GeometryError as error:

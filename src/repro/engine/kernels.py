@@ -13,8 +13,8 @@ Bit-exactness contract
 ----------------------
 
 Kernel answers must be bit-identical to that per-cell fold (the
-reference gated by ``tests/engine/test_kernels.py`` and the
-``engine_batch_parity`` bench scenario).  Its float semantics are: per covering cell the partial is
+reference gated by ``tests/engine/test_kernels.py``).  Its float
+semantics are: per covering cell the partial is
 ``float(column[lo:hi].sum())`` (numpy's pairwise summation over a
 contiguous slice), and across cells the partials fold sequentially in
 covering order through a Python ``+=`` starting at ``0.0``.  Plain

@@ -13,7 +13,15 @@ class ReproError(Exception):
 
 
 class GeometryError(ReproError):
-    """Raised for invalid geometric input (degenerate polygons, empty boxes)."""
+    """Raised for invalid geometric input (degenerate polygons, empty boxes).
+
+    ``position`` is the index of the offending vertex when one vertex
+    is to blame (a non-finite coordinate), else None.
+    """
+
+    def __init__(self, message: str, position: int | None = None) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 class CellError(ReproError):

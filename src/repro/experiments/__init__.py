@@ -13,8 +13,6 @@ from repro.experiments.common import (
     nyc_base,
     osm_base,
     run_workload,
-    run_workload_api,
-    run_workload_batched,
     run_workload_counts,
     total_relative_error,
     tweets_base,
@@ -32,8 +30,6 @@ __all__ = [
     "osm_base",
     "run_experiment",
     "run_workload",
-    "run_workload_api",
-    "run_workload_batched",
     "run_workload_counts",
     "total_relative_error",
     "tweets_base",

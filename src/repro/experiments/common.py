@@ -78,14 +78,14 @@ class ExperimentConfig:
 
     @classmethod
     def quick(cls) -> "ExperimentConfig":
-        """A reduced configuration for CI / benchmark smoke runs."""
+        """A reduced configuration (``python -m repro.experiments --quick``)."""
         return cls(nyc_points=40_000, tweets_points=30_000, osm_points=50_000)
 
     @classmethod
     def smoke(cls) -> "ExperimentConfig":
-        """The smallest meaningful configuration: the ``--scale smoke``
-        setting of :mod:`repro.bench`, sized so the full scenario
-        registry finishes within a CI job."""
+        """The smallest meaningful configuration (~8k NYC tuples): the
+        demo data of ``python -m repro.server`` and the input whose
+        answer totals ``tests/integration/test_answer_pins.py`` pins."""
         return cls(nyc_points=8_000, tweets_points=6_000, osm_points=8_000)
 
     # -- density-equivalent levels ------------------------------------
@@ -256,71 +256,6 @@ def run_workload(aggregator, workload: Workload) -> tuple[float, list[QueryResul
     with watch.phase("workload"):
         for query in workload:
             results.append(aggregator.select(query.region, list(query.aggs)))
-    return watch.seconds("workload"), results
-
-
-def run_workload_batched(
-    aggregator,  # noqa: ANN001
-    workload: Workload,
-    batch_size: int | None = None,
-) -> tuple[float, list[QueryResult]]:
-    """Execute the workload through the engine's batched path.
-
-    ``batch_size`` bounds each ``run_batch`` call (None = the whole
-    workload in one batch).  Results are in workload order and -- for
-    engine-backed aggregators -- identical to :func:`run_workload`.
-    """
-    watch = Stopwatch()
-    results: list[QueryResult] = []
-    with watch.phase("workload"):
-        if batch_size is None:
-            results = aggregator.run_batch(workload.queries)
-        else:
-            for chunk in workload.chunked(batch_size):
-                results.extend(aggregator.run_batch(chunk.queries))
-    return watch.seconds("workload"), results
-
-
-def run_workload_api(
-    dataset,  # noqa: ANN001 - repro.api.Dataset or a bare block
-    workload: Workload,
-    batch_size: int | None = None,
-) -> tuple[float, list[QueryResult]]:
-    """Execute the workload through the serving layer (:mod:`repro.api`).
-
-    The workload is converted to declarative :class:`QueryRequest`s and
-    answered by ``Dataset.run_batch`` -- the exact path an HTTP adapter
-    exercises -- so comparing against :func:`run_workload` /
-    :func:`run_workload_batched` measures the façade's overhead on top
-    of the engine's batched executor.  Responses are adapted back to
-    engine :class:`QueryResult`s, keeping the measurement helpers
-    result-shape compatible.
-    """
-    from repro.api import Dataset, requests_from_workload
-
-    if not isinstance(dataset, Dataset):
-        # Result caching off: this helper measures the serving façade's
-        # overhead over the engine pass, and workloads repeat regions on
-        # purpose -- result-tier hits would skip the engine entirely.
-        dataset = Dataset(dataset, result_cache=False)
-    requests = requests_from_workload(workload)
-    watch = Stopwatch()
-    responses = []
-    with watch.phase("workload"):
-        if batch_size is None:
-            responses = dataset.run_batch(requests)
-        else:
-            for start in range(0, len(requests), batch_size):
-                responses.extend(dataset.run_batch(requests[start : start + batch_size]))
-    results = [
-        QueryResult(
-            values=response.values,
-            count=response.count,
-            cells_probed=response.stats.cells_probed,
-            cache_hits=response.stats.cache_hits,
-        )
-        for response in responses
-    ]
     return watch.seconds("workload"), results
 
 

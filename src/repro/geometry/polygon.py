@@ -33,6 +33,9 @@ class Polygon:
         coords = np.asarray(vertices, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise GeometryError("polygon vertices must be an (n, 2) sequence")
+        if not np.isfinite(coords).all():
+            position = int(np.isfinite(coords).all(axis=1).argmin())
+            raise GeometryError(f"vertex {position} is not finite", position=position)
         if len(coords) >= 2 and bool(np.all(coords[0] == coords[-1])):
             coords = coords[:-1]  # drop explicit closing vertex
         if len(coords) < 3:

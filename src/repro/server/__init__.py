@@ -15,8 +15,8 @@ interactive dashboards serving many concurrent users:
   the service: TTL + stale-while-revalidate freshness, invalidated by
   the same dataset version bump that invalidates the result tier, with
   ``X-Cache: hit|stale|miss|bypass`` on every ``/query`` response;
-* :class:`GeoClient` -- a keep-alive stdlib client (what the
-  ``repro.bench`` load harness and the integration tests drive);
+* :class:`GeoClient` -- a keep-alive stdlib client (one per thread;
+  the integration tests and geobench drive it);
 * ``python -m repro.server`` -- the CLI: ``--port``, ``--datasets
   name=path``, ``--demo``, ``--cache-ttl``, ``--threads``, graceful
   SIGINT/SIGTERM shutdown.
@@ -33,8 +33,8 @@ Quickstart::
 
 Answers over HTTP are byte-identical to ``service.run_dict`` for the
 same payload -- the server adds transport, caching, and telemetry, not
-a second query semantics; the ``http_query_concurrency`` bench
-scenario gates exactly that.
+a second query semantics; ``tests/server/test_concurrency.py`` gates
+exactly that at 1, 4 and 16 concurrent clients.
 """
 
 from repro.server.client import GeoClient, WireReply

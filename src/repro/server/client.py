@@ -9,7 +9,7 @@ its own client, the way each browser tab holds its own connection.
 Every call returns a :class:`WireReply` -- status, parsed JSON body,
 and the ``X-Cache`` header -- without raising on HTTP error statuses:
 the error envelope in the body is the interesting part, and callers
-(tests, bench gates) assert on it directly.
+(tests, benchmarks) assert on it directly.
 """
 
 from __future__ import annotations

@@ -206,14 +206,6 @@ class EdgeCache:
             self._entries.clear()
             return dropped
 
-    def reset(self) -> None:
-        """Drop entries *and* zero the counters (bench thunks isolate
-        repeats with this)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.stale_served = 0
-            self.invalidated = self.evictions = self.revalidations = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -35,7 +35,7 @@ Routes (all bodies JSON, all errors the ``{"ok": false}`` envelope):
 
 The server owns no query semantics: an HTTP answer is byte-identical to
 the ``service.run_dict`` envelope for the same payload, which is what
-the ``http_query_concurrency`` bench scenario gates.
+``tests/server/test_concurrency.py`` gates under concurrent clients.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class GeoHTTPServer(ThreadingHTTPServer):
     caching entirely; every response is computed).
 
     Use :meth:`start`/:meth:`stop` for a background server (tests,
-    examples, the load harness) or :func:`serve` for a foreground
+    examples, benchmarks) or :func:`serve` for a foreground
     process with signal handling.
     """
 

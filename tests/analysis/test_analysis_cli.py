@@ -18,8 +18,6 @@ def violating_root(repo_root, tmp_path):
     """A full copy of the tree with one injected FD001 violation."""
     shutil.copytree(repo_root / "src", tmp_path / "src")
     shutil.copy(repo_root / "README.md", tmp_path / "README.md")
-    for path in sorted(repo_root.glob("BENCH_*.json")):
-        shutil.copy(path, tmp_path / path.name)
     bad = tmp_path / "src" / "repro" / "engine" / "_bad_fold.py"
     bad.write_text("def fold(parts):\n    return sum(parts)\n", encoding="utf-8")
     return tmp_path
@@ -84,6 +82,7 @@ def test_list_rules_covers_the_catalogue(capsys):
         assert rule.id in out
         assert rule.name in out
     assert "why:" in out
+    assert {rule.id[:2] for rule in RULES} == {"FD", "LD", "WS", "PG"}
 
 
 def test_module_entry_point(repo_root):

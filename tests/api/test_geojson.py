@@ -117,6 +117,65 @@ class TestMalformed:
         assert not isinstance(excinfo.value, (KeyError, IndexError, TypeError))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteCoordinates:
+    """``json.loads`` accepts NaN / Infinity literals, so a wire region
+    can carry them; each must be a ``bad_region`` naming the vertex,
+    not a CellError (500) or a covering of garbage cells."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_polygon_vertex(self, bad):
+        ring = [list(position) for position in SQUARE_CCW]
+        ring[2][1] = bad
+        with pytest.raises(ApiError) as excinfo:
+            region_from_geojson(polygon_geojson(ring))
+        assert excinfo.value.code == BAD_REGION
+        assert excinfo.value.details == {"position": 2}
+        assert "not finite" in excinfo.value.message
+
+    def test_multipolygon_part(self):
+        ring = [list(position) for position in SQUARE_CCW]
+        ring[0][0] = float("nan")
+        ring[-1][0] = float("nan")  # the closing position repeats it
+        payload = {"type": "MultiPolygon", "coordinates": [[SQUARE_CCW], [ring]]}
+        with pytest.raises(ApiError) as excinfo:
+            region_from_geojson(payload)
+        assert excinfo.value.code == BAD_REGION
+        assert excinfo.value.message.startswith("MultiPolygon part 1:")
+        assert excinfo.value.details == {"position": 0}
+
+    def test_group_by_feature(self):
+        from repro.api import QueryRequest
+
+        ring = [list(position) for position in SQUARE_CCW]
+        ring[1][0] = float("inf")
+        collection = {
+            "type": "FeatureCollection",
+            "features": [
+                {"type": "Feature", "geometry": polygon_geojson()},
+                {"type": "Feature", "geometry": polygon_geojson(ring)},
+            ],
+        }
+        with pytest.raises(ApiError) as excinfo:
+            QueryRequest.from_dict({"group_by": collection, "aggregates": ["count"]})
+        assert excinfo.value.code == BAD_REGION
+        assert excinfo.value.details == {"position": 1, "feature": 1}
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_bbox_value(self, bad, index):
+        from repro.api import QueryRequest
+
+        bbox = [-74.0, 40.7, -73.9, 40.8]
+        bbox[index] = bad
+        with pytest.raises(ApiError) as excinfo:
+            QueryRequest.from_dict({"region": {"bbox": bbox}, "aggregates": ["count"]})
+        assert excinfo.value.code == BAD_REGION
+        assert "finite" in excinfo.value.message
+
+
 class TestSerialisation:
     def test_polygon_round_trip(self):
         polygon = Polygon.regular(-73.95, 40.75, 0.05, 7)

@@ -117,6 +117,21 @@ class TestWireRepeats:
         assert stats["cache"]["result"]["hits"] == 1
         assert stats["cache"]["covering"]["hits"] == 0  # result hit skips covering
 
+    @pytest.mark.parametrize("tier", ["covering", "result"])
+    def test_sixteen_sends_hit_fifteen_times(self, tier, small_polygons):
+        """Six polygons re-sent 16 times, each send freshly parsed: the
+        tier under test hits on every send but the first (15/16), and
+        every repeat answers exactly like the first send."""
+        service = GeoService(cache=TieredCache(), result_cache=tier == "result")
+        service.register("taxi", build_dataset(make_base(), "geoblock"))
+        first = [service.run_dict(wire_payload(polygon)) for polygon in small_polygons[:6]]
+        for _ in range(15):
+            for polygon, want in zip(small_polygons[:6], first):
+                got = service.run_dict(wire_payload(polygon))
+                assert got["ok"]
+                assert json.dumps(got["data"]) == json.dumps(want["data"])
+        assert service.stats()["cache"][tier]["hit_rate"] == 15 / 16
+
     def test_fresh_polygon_objects_share_covering_tier(self, quad_polygon):
         """Distinct aggregate lists miss the result tier but still share
         the covering computed by the first request."""
@@ -219,10 +234,13 @@ class TestInvalidation:
             assert_identical(hit, want)
         dataset.append(rows)
         fresh = build_dataset(rebuilt_base(base, rows), kind, result_cache=False)
+        # Uncached execution over the same mutated block: exact twin.
+        twin = Dataset(dataset.handle, result_cache=False)
         for request in requests:
             got = dataset.query(request)
             assert got.stats.result_cached == 0  # version bump = lazy invalidation
             assert got.version == 2
+            assert_identical(got, twin.query(request))
             want = fresh.query(request)
             assert got.count == want.count
             for key, value in want.values.items():

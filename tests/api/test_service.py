@@ -148,15 +148,19 @@ class TestBatchedParity:
         responses = service.run_batch(requests)
         assert [r.count for r in responses] == [handle.count(p) for p in small_polygons]
 
-    def test_run_workload_api_matches_sequential(self, handle, small_polygons):
-        """The experiment harness's serving-path runner agrees with the
-        sequential runner (exactly on counts; last-ulp float drift is
-        allowed on sharded cross-boundary sums)."""
-        from repro.experiments.common import run_workload, run_workload_api
-
+    def test_chunked_run_batch_matches_sequential(self, handle, small_polygons):
+        """Workload requests answered by ``Dataset.run_batch`` in chunks
+        of five agree with sequential ``select`` (exactly on counts;
+        last-ulp float drift is allowed on sharded cross-boundary sums)."""
         workload = base_workload(small_polygons, AGGS)
-        _, want = run_workload(handle, workload)
-        _, got = run_workload_api(Dataset(handle), workload, batch_size=5)
+        want = [handle.select(query.region, list(query.aggs)) for query in workload]
+        dataset = Dataset(handle)
+        requests = requests_from_workload(workload)
+        got = [
+            response
+            for start in range(0, len(requests), 5)
+            for response in dataset.run_batch(requests[start : start + 5])
+        ]
         assert len(got) == len(want)
         for direct, via_api in zip(want, got):
             assert via_api.count == direct.count

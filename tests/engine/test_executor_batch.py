@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -149,12 +151,34 @@ class TestWorkloadHelpers:
         workload = base_workload(small_polygons, AGGS).repeated(3)
         assert workload.distinct_regions() == list(small_polygons)
 
-    def test_run_workload_batched_matches_sequential(self, block, small_polygons):
-        from repro.experiments.common import run_workload, run_workload_batched
-
+    def test_run_batch_whole_and_chunked_match_sequential(self, block, small_polygons):
         workload = base_workload(small_polygons, AGGS).repeated(2)
-        _, sequential = run_workload(block, workload)
-        _, whole = run_workload_batched(block, workload)
-        _, chunked = run_workload_batched(block, workload, batch_size=7)
+        sequential = [block.select(query.region, list(query.aggs)) for query in workload]
+        whole = block.run_batch(workload.queries)
+        chunked = [
+            result for chunk in workload.chunked(7) for result in block.run_batch(chunk.queries)
+        ]
         assert_results_identical(sequential, whole)
         assert_results_identical(sequential, chunked)
+
+
+@pytest.mark.slow
+def test_batch_not_slower_than_sequential(block, small_polygons):
+    """The one timing bound of the suite: one ``run_batch`` pass over a
+    skewed workload takes at most 1/0.75 of the sequential time (best
+    of five, coverings warm)."""
+    workload = base_workload(small_polygons, AGGS).repeated(10)
+    for polygon in small_polygons:
+        block.warm(polygon)
+
+    def best(run) -> float:  # noqa: ANN001
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    sequential = best(lambda: [block.select(query.region, list(query.aggs)) for query in workload])
+    batched = best(lambda: block.run_batch(workload.queries))
+    assert sequential / batched >= 0.75

@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Polygon([(0, 0), (1, 1)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vertex_rejected_with_its_position(self, bad):
+        with pytest.raises(GeometryError) as excinfo:
+            Polygon([(0, 0), (1, 0), (1, bad), (0, 1)])
+        assert excinfo.value.position == 2
+
     def test_closing_vertex_dropped(self):
         explicit = Polygon([(0, 0), (1, 0), (1, 1), (0, 0)])
         assert explicit.num_vertices == 3

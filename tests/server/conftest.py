@@ -26,6 +26,20 @@ def wire_query(dataset: str = "small", region: dict | None = None) -> dict:
     }
 
 
+def read_shapes(regions: list[dict]) -> list[dict]:
+    """Distinct read bodies: every wire region crossed with two
+    aggregate lists."""
+    return [
+        wire_query(region=region) | {"aggregates": aggregates}
+        for region in regions
+        for aggregates in (list(AGGS), ["count", "avg:fare"])
+    ]
+
+
+#: Three overlapping windows with data, for the read-shape tests.
+BBOXES = [{"bbox": [-74.05 + 0.03 * shift, 40.65, -73.82, 40.82]} for shift in range(3)]
+
+
 def make_rows(count: int = 40, seed: int = 5) -> list[dict]:
     rng = np.random.default_rng(seed)
     return [

@@ -1,21 +1,55 @@
 """Thread-safety of the serving tier: the readers-writer lock, the
-append/query hammer (no torn reads), the registry lock, and the load
-generator itself."""
+append/query hammer (no torn reads, materialized views serving every
+read through concurrent appends), the registry lock, and concurrent
+clients answered exactly like in-process requests."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.api import Dataset, GeoService
-from repro.bench.loadgen import LoadResult, TimedReply, percentile, run_load
-from repro.bench.scenario import BenchError
+from repro.api.geojson import region_to_geojson
 from repro.server import EdgeCache, GeoClient, GeoHTTPServer
 from repro.util.sync import RWLock
 
-from tests.server.conftest import answer, build_dataset, make_rows, wire_query
+from tests.server.conftest import answer, build_dataset, make_rows, read_shapes, wire_query
+
+
+def polygon_shapes(polygons) -> list[dict]:  # noqa: ANN001
+    return read_shapes([region_to_geojson(polygon) for polygon in polygons])
+
+
+def canonical(envelope: dict) -> str:
+    """The answer part of an envelope as text, so NaN equals NaN."""
+    return json.dumps(answer(envelope), sort_keys=True)
+
+
+def run_clients(server, plans: list[list[dict]]) -> list[list[object]]:  # noqa: ANN001
+    """One thread and one keep-alive connection per plan; the replies
+    of each plan in order."""
+    replies: list[list[object]] = [[] for _ in plans]
+    errors: list[Exception] = []
+
+    def client(index: int) -> None:
+        try:
+            with GeoClient.for_server(server) as connected:
+                for payload in plans[index]:
+                    replies[index].append(connected.query(payload))
+        except Exception as error:  # noqa: BLE001 - surfaced below
+            errors.append(error)
+
+    threads = [threading.Thread(target=client, args=(index,)) for index in range(len(plans))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert errors == []
+    assert not any(thread.is_alive() for thread in threads)
+    return replies
 
 
 class TestRWLock:
@@ -166,6 +200,49 @@ class TestAppendQueryHammer:
         for seen in per_reader:
             assert seen == sorted(seen)
 
+    def test_every_read_served_by_a_view_during_appends(self, small_base, small_polygons, kind):
+        """Pinned views on every read shape, one writer appending four
+        batches beside four readers: each read is an MV hit, equals the
+        sequential replay at its stamped version, and versions never go
+        back within a reader."""
+        shapes = polygon_shapes(small_polygons[:1])
+        batches = [make_rows(count=50, seed=seed) for seed in (21, 22, 23, 24)]
+        replay = GeoService()
+        replay.register("small", build_dataset(small_base, kind, result_cache=False))
+        truth = {}
+        for version in range(1, len(batches) + 2):
+            if version > 1:
+                replay.dataset("small").append(batches[version - 2])
+            for index, payload in enumerate(shapes):
+                truth[(index, version)] = canonical(replay.run_dict(payload))
+
+        service = GeoService()
+        service.register("small", build_dataset(small_base, kind))
+        for index, payload in enumerate(shapes):
+            assert service.run_dict(dict(payload, op="materialize", name=f"mv-{index}"))["ok"]
+        with GeoHTTPServer(service, port=0, edge=EdgeCache(ttl=600.0, stale_ttl=600.0)) as server:
+            plan = [index % len(shapes) for index in range(12)]
+            written = []
+
+            def write() -> None:
+                with GeoClient.for_server(server) as writer:
+                    for rows in batches:
+                        written.append(writer.append(rows, dataset="small").status)
+
+            writer_thread = threading.Thread(target=write)
+            writer_thread.start()
+            replies = run_clients(server, [[shapes[index] for index in plan]] * 4)
+            writer_thread.join(timeout=60)
+        assert written == [200] * len(batches)
+        assert service.dataset("small").version == len(batches) + 1
+        for got in replies:
+            versions = [reply.body["version"] for reply in got]
+            assert versions == sorted(versions)
+            for index, reply in zip(plan, got):
+                assert reply.status == 200
+                assert reply.body["stats"]["mv"]["cached"] == 1
+                assert canonical(reply.body) == truth[(index, reply.body["version"])]
+
 
 class TestRegistryLock:
     def test_concurrent_register_and_lookup(self, small_base):
@@ -208,42 +285,22 @@ class TestRegistryLock:
         assert len(service) == 1 + 4 * 10
 
 
-class TestLoadgen:
-    def test_percentile_nearest_rank(self):
-        samples = [float(value) for value in range(1, 101)]
-        assert percentile(samples, 50) == 50.0
-        assert percentile(samples, 95) == 95.0
-        assert percentile(samples, 99) == 99.0
-        assert percentile(samples, 100) == 100.0
-        assert percentile([7.0], 99) == 7.0
-        with pytest.raises(BenchError):
-            percentile([], 50)
-        with pytest.raises(BenchError):
-            percentile([1.0], 101)
-
-    def test_load_result_summary(self):
-        replies = [
-            TimedReply(0, index, latency, None)
-            for index, latency in enumerate((0.010, 0.020, 0.030, 0.040))
-        ]
-        result = LoadResult(elapsed_s=2.0, clients=1, replies=replies)
-        assert result.qps == pytest.approx(2.0)
-        assert result.summary()["p50_ms"] == pytest.approx(20.0)
-        assert result.summary()["p99_ms"] == pytest.approx(40.0)
-
-    def test_run_load_rejects_empty_plans(self, server):
-        with pytest.raises(BenchError):
-            run_load(server, [])
-        with pytest.raises(BenchError):
-            run_load(server, [[wire_query()], []])
-
-    def test_run_load_round_trips_replies(self, server, service):
-        plans = [[wire_query(), wire_query()] for _ in range(3)]
-        result = run_load(server, plans)
-        assert result.clients == 3
-        assert len(result.replies) == 6
-        want = answer(service.run_dict(wire_query()))
-        for timed in result.replies:
-            assert timed.reply.status == 200
-            assert answer(timed.reply.body) == want
-        assert result.qps > 0
+class TestConcurrentClients:
+    @pytest.mark.parametrize("clients", [1, 4, 16])
+    def test_replies_equal_in_process_answers(self, small_base, small_polygons, clients):
+        """48 requests over 16 distinct bodies, split round-robin over
+        ``clients`` connections: every reply equals in-process
+        ``run_dict`` on the same body."""
+        service = GeoService()
+        service.register("small", build_dataset(small_base, "geoblock", result_cache=False))
+        distinct = polygon_shapes(small_polygons[:8])
+        truth = [canonical(service.run_dict(payload)) for payload in distinct]
+        indices = list(range(len(distinct))) * 3
+        plans = [indices[client::clients] for client in range(clients)]
+        with GeoHTTPServer(service, port=0) as server:
+            replies = run_clients(server, [[distinct[index] for index in plan] for plan in plans])
+        assert sum(len(got) for got in replies) == 48
+        for plan, got in zip(plans, replies):
+            for index, reply in zip(plan, got):
+                assert reply.status == 200
+                assert canonical(reply.body) == truth[index]

@@ -171,14 +171,6 @@ class TestMaintenance:
         assert len(cache) == 0
         assert cache.hits == 1
 
-    def test_reset_zeroes_counters(self, cache):
-        store(cache)
-        cache.lookup("k", V1)
-        cache.reset()
-        assert len(cache) == 0
-        assert cache.hits == 0
-        assert cache.stats()["hit_rate"] == 0.0
-
     def test_stats_shape_and_hit_rate(self, cache, clock):
         store(cache)
         cache.lookup("k", V1)  # hit

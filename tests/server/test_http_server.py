@@ -12,7 +12,14 @@ from repro.api import GeoService
 from repro.api.errors import HTTP_STATUS, http_status
 from repro.server import EdgeCache, GeoClient, GeoHTTPServer
 
-from tests.server.conftest import answer, build_dataset, make_rows, wire_query
+from tests.server.conftest import (
+    BBOXES,
+    answer,
+    build_dataset,
+    make_rows,
+    read_shapes,
+    wire_query,
+)
 
 
 class TestRoundTripAllKinds:
@@ -114,6 +121,16 @@ class TestBatch:
         assert len(edge) == 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def ring_region(vertex: int, axis: int, value: float) -> dict:
+    """A GeoJSON square with one coordinate replaced by ``value``."""
+    ring = [[-74.0, 40.7], [-73.9, 40.7], [-73.9, 40.8], [-74.0, 40.8]]
+    ring[vertex][axis] = value
+    return {"type": "Polygon", "coordinates": [ring]}
+
+
 class TestErrorMapping:
     def test_table_is_total_and_sane(self):
         assert HTTP_STATUS["bad_request"] == 400
@@ -139,6 +156,12 @@ class TestErrorMapping:
                 400,
                 "bad_aggregate",
             ),
+            # json.loads accepts NaN / Infinity: non-finite coordinates
+            # are the client's fault, never a 500 or a 200 over garbage.
+            (dict(wire_query(), region=ring_region(1, 1, NAN)), 400, "bad_region"),
+            (dict(wire_query(), region=ring_region(1, 0, INF)), 400, "bad_region"),
+            (dict(wire_query(), region={"bbox": [-74.0, 40.7, NAN, 40.8]}), 400, "bad_region"),
+            (dict(wire_query(), region={"bbox": [-74.0, 40.7, -73.9, INF]}), 400, "bad_region"),
             # The retired execution-model hint is an unknown hint.
             (dict(wire_query(), hints={"mode": "kernel"}), HTTP_STATUS["bad_hint"], "bad_hint"),
         ],
@@ -192,6 +215,23 @@ class TestEdgeStates:
         # Byte replay: even the stats block matches the stored answer.
         assert second.body == first.body
         assert edge.hits == 1
+
+    def test_sixteen_repeats_hit_fifteen_times(self, client, edge):
+        """Six bodies sent 16 times each: exactly the first send of each
+        misses, every repeat replays the first reply byte for byte, and
+        the headers and the edge counters agree (hit rate 15/16)."""
+        payloads = read_shapes(BBOXES)
+        first = [client.query(payload) for payload in payloads]
+        assert [reply.x_cache for reply in first] == ["miss"] * len(payloads)
+        hits = 0
+        for _ in range(15):
+            for payload, want in zip(payloads, first):
+                reply = client.query(payload)
+                assert reply.status == 200
+                assert reply.body == want.body
+                hits += reply.x_cache == "hit"
+        assert hits / (16 * len(payloads)) == 15 / 16
+        assert (edge.stats()["hits"], edge.stats()["misses"]) == (hits, len(payloads))
 
     def test_different_bodies_are_different_keys(self, client, edge):
         client.query(wire_query())

@@ -7,7 +7,16 @@ from __future__ import annotations
 from repro.api import GeoService
 from repro.materialize import sidecar_path
 
-from tests.server.conftest import AGGS, REGION, answer, build_dataset, make_rows, wire_query
+from tests.server.conftest import (
+    AGGS,
+    BBOXES,
+    REGION,
+    answer,
+    build_dataset,
+    make_rows,
+    read_shapes,
+    wire_query,
+)
 
 
 def materialize_body(name=None, **extra) -> dict:
@@ -92,14 +101,17 @@ class TestViewsRoute:
 
 class TestWarmRestart:
     def test_reopened_server_serves_from_persisted_views(self, small_base, tmp_path):
-        """Save a dataset with a pinned MV, open it in a brand-new
-        service behind a brand-new server: the first query is already
-        an MV hit and the body matches the original server's answer."""
+        """Save a dataset with a pinned MV per read shape, open it in a
+        brand-new service behind a brand-new server: the first answer
+        of every shape is already an MV hit and matches the original
+        server's answer."""
         path = tmp_path / "small.npz"
+        shapes = read_shapes(BBOXES)
         first = GeoService()
         first.register("small", build_dataset(small_base, "geoblock"))
-        assert first.run_dict({"v": 2, "op": "materialize", **materialize_body(name="hot")})["ok"]
-        want = answer(first.run_dict(wire_query()))
+        for index, shape in enumerate(shapes):
+            assert first.run_dict(dict(shape, op="materialize", name=f"mv-{index}"))["ok"]
+        want = [answer(first.run_dict(shape)) for shape in shapes]
         first.dataset("small").save(path)
         assert sidecar_path(path).exists()
 
@@ -109,12 +121,15 @@ class TestWarmRestart:
         warm.open("small", path)
         with GeoHTTPServer(warm, port=0) as server:
             with GeoClient.for_server(server) as client:
-                reply = client.query(wire_query())
-                assert reply.status == 200
-                assert reply.body["stats"]["mv"]["cached"] == 1
-                assert answer(reply.body) == want
+                for shape, truth in zip(shapes, want):
+                    reply = client.query(shape)
+                    assert reply.status == 200
+                    assert reply.body["stats"]["mv"]["cached"] == 1
+                    assert answer(reply.body) == truth
                 views = client.request("GET", "/views").body["data"]
-                assert [view["name"] for view in views["materialized"]] == ["hot"]
+                assert [view["name"] for view in views["materialized"]] == [
+                    f"mv-{index}" for index in range(len(shapes))
+                ]
 
     def test_refresh_continues_across_restart(self, small_base, tmp_path):
         """Append after the warm restart: the restored MV refreshes and
