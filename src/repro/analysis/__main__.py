@@ -5,7 +5,7 @@ findings, so CI can gate on it directly::
 
     python -m repro.analysis                  # text report, repo root = cwd
     python -m repro.analysis --format json    # machine-readable report
-    python -m repro.analysis --rules FD,WS005 # family prefixes or exact IDs
+    python -m repro.analysis --rules FD,LD001 # family prefixes or exact IDs
     python -m repro.analysis --list-rules     # the catalogue with rationale
 
 Exit codes: 0 clean, 1 findings, 2 harness failure (unreadable tree,
@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="house-rule static analysis: float determinism, lock "
-        "discipline, wire-surface consistency",
+        "discipline, pragma hygiene",
     )
     parser.add_argument(
         "--root",

@@ -47,7 +47,7 @@ class Rule:
 
 #: Every rule the subsystem knows, in reporting order.  The IDs are
 #: grouped by family: FD* float determinism, LD* lock discipline,
-#: WS* wire surface, PG* pragma hygiene.
+#: PG* pragma hygiene.
 RULES: tuple[Rule, ...] = (
     Rule(
         "FD001",
@@ -104,55 +104,6 @@ RULES: tuple[Rule, ...] = (
         "assume; an outside caller invoking one (or touching _rwlock "
         "directly) bypasses the single-writer model the serving tier "
         "is built on.",
-    ),
-    Rule(
-        "WS001",
-        "op-unknown-to-http-tier",
-        "wire op dispatched in run_dict but unknown to server/http.py",
-        "The HTTP tier must route (or explicitly document as routed "
-        "through /query) every op the service dispatches; an op added "
-        "only to run_dict is unreachable or undocumented over HTTP.",
-    ),
-    Rule(
-        "WS002",
-        "op-readme-drift",
-        "wire op set and README-documented ops disagree",
-        "The README is the wire contract clients read; an op missing "
-        "there (or documented but no longer dispatched) is a silent "
-        "protocol change.",
-    ),
-    Rule(
-        "WS003",
-        "route-readme-drift",
-        "HTTP routes and README-documented routes disagree",
-        "Every live route is documented and every documented route is "
-        "live, so curl examples in the README never 404.",
-    ),
-    Rule(
-        "WS004",
-        "op-key-schema-gap",
-        "management op key schema missing the envelope keys",
-        "Every v2 management op validates its payload against a _*_KEYS "
-        "tuple; the tuple must carry the envelope keys ('v', 'op', "
-        "'dataset') or strict unknown-key checking rejects legal "
-        "envelopes.",
-    ),
-    Rule(
-        "WS005",
-        "error-code-status-drift",
-        "ERROR_CODES and the HTTP_STATUS table disagree",
-        "Every API error code needs exactly one HTTP status (the status "
-        "line is derived, never a second source of truth); a code "
-        "missing from the table degrades to 500 and an orphan status "
-        "entry is dead configuration.",
-    ),
-    Rule(
-        "WS006",
-        "hint-readme-drift",
-        "HINT_KEYS and the README's documented hints disagree",
-        "Unknown hints are rejected with bad_hint, so a hint the README "
-        "documents but the parser dropped breaks every client that "
-        "follows the docs, and an undocumented one is invisible.",
     ),
     Rule(
         "PG001",

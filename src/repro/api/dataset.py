@@ -734,8 +734,7 @@ class Dataset:
     def _validate(self, request: QueryRequest) -> None:
         if request.dataset is not None and request.dataset != self.name:
             # A request addressed to another dataset must not silently
-            # execute here (an HTTP adapter wiring per-dataset
-            # endpoints through query_dict would return wrong data).
+            # execute here (it would return another dataset's data).
             raise ApiError(
                 UNKNOWN_DATASET,
                 f"request addresses dataset {request.dataset!r} but this "
@@ -1027,14 +1026,6 @@ class Dataset:
             groups=groups,
             version=self._version,
         )
-
-    def query_dict(self, payload: dict) -> dict:
-        """Wire-format single query: dict in, success envelope out.
-
-        Errors propagate as :class:`ApiError`; use
-        :meth:`GeoService.run_dict` for the never-raises envelope.
-        """
-        return self.query(QueryRequest.from_dict(payload)).to_dict()
 
     def run_batch(self, requests: Sequence) -> list[QueryResponse]:
         """Answer many requests in one engine pass.

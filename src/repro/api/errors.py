@@ -21,54 +21,42 @@ from __future__ import annotations
 from repro.errors import ReproError
 
 #: Machine-readable error codes of the service API.
-BAD_REQUEST = "bad_request"  #: malformed request dict / unknown keys
-BAD_REGION = "bad_region"  #: unparsable or unsupported region payload
-BAD_AGGREGATE = "bad_aggregate"  #: unparsable aggregate spec string
-BAD_HINT = "bad_hint"  #: unknown hint name or invalid hint value
-BAD_PREDICATE = "bad_predicate"  #: unparsable 'where' filter expression
-UNKNOWN_DATASET = "unknown_dataset"  #: dataset name not in the registry
-UNKNOWN_COLUMN = "unknown_column"  #: aggregate references a missing column
-UNSUPPORTED_OP = "unsupported_op"  #: operation the target cannot perform
-UNKNOWN_VIEW = "unknown_view"  #: drop/inspect of a view that does not exist
-DUPLICATE_VIEW = "duplicate_view"  #: materialize of an already-pinned query/name
-NOT_FOUND = "not_found"  #: no such resource (an HTTP route, for example)
-INTERNAL = "internal"  #: wrapped non-API library error
+BAD_REQUEST = "bad_request"
+BAD_REGION = "bad_region"
+BAD_AGGREGATE = "bad_aggregate"
+BAD_HINT = "bad_hint"
+BAD_PREDICATE = "bad_predicate"
+UNKNOWN_DATASET = "unknown_dataset"
+UNKNOWN_COLUMN = "unknown_column"
+UNSUPPORTED_OP = "unsupported_op"
+UNKNOWN_VIEW = "unknown_view"
+DUPLICATE_VIEW = "duplicate_view"
+NOT_FOUND = "not_found"
+INTERNAL = "internal"
 
-ERROR_CODES = (
-    BAD_REQUEST,
-    BAD_REGION,
-    BAD_AGGREGATE,
-    BAD_HINT,
-    BAD_PREDICATE,
-    UNKNOWN_DATASET,
-    UNKNOWN_COLUMN,
-    UNSUPPORTED_OP,
-    UNKNOWN_VIEW,
-    DUPLICATE_VIEW,
-    NOT_FOUND,
-    INTERNAL,
-)
-
-#: The one table mapping API error codes onto HTTP statuses, so the
-#: HTTP tier and in-process callers agree on error semantics: client
+#: The one table of error codes and their HTTP statuses, so the HTTP
+#: tier and in-process callers agree on error semantics: client
 #: mistakes are 4xx (missing resources 404), wrapped library errors
 #: 500.  The body is always the standard ``{"ok": false}`` envelope --
 #: the status line is *derived* from the code, never a second source
 #: of truth.
 HTTP_STATUS = {
-    BAD_REQUEST: 400,
-    BAD_REGION: 400,
-    BAD_AGGREGATE: 400,
-    BAD_HINT: 400,
-    BAD_PREDICATE: 400,
-    UNKNOWN_COLUMN: 400,
-    UNSUPPORTED_OP: 400,
-    UNKNOWN_DATASET: 404,
-    UNKNOWN_VIEW: 404,
-    DUPLICATE_VIEW: 409,
-    NOT_FOUND: 404,
-    INTERNAL: 500,
+    BAD_REQUEST: 400,  # malformed request dict / unknown keys
+    BAD_REGION: 400,  # unparsable or unsupported region payload
+    BAD_AGGREGATE: 400,  # unparsable aggregate spec string
+    BAD_HINT: 400,  # unknown hint name or invalid hint value
+    BAD_PREDICATE: 400,  # unparsable 'where' filter expression
+    UNKNOWN_DATASET: 404,  # dataset name not in the registry
+    UNKNOWN_COLUMN: 400,  # aggregate references a missing column
+    UNSUPPORTED_OP: 400,  # operation the target cannot perform
+    UNKNOWN_VIEW: 404,  # drop/inspect of a view that does not exist
+    DUPLICATE_VIEW: 409,  # materialize of an already-pinned query/name
+    NOT_FOUND: 404,  # no such resource (an HTTP route, for example)
+    INTERNAL: 500,  # wrapped non-API library error
 }
+
+#: Every error code of the service API: the keys of the status table.
+ERROR_CODES = tuple(HTTP_STATUS)
 
 
 def http_status(code: str) -> int:

@@ -55,7 +55,10 @@ def _parse_ring(ring: object, where: str) -> list[tuple[float, float]]:
                 f"{where}: position {index} must be an [x, y] pair of numbers",
                 position=index,
             )
-        vertices.append((float(position[0]), float(position[1])))
+        try:
+            vertices.append((float(position[0]), float(position[1])))
+        except OverflowError:  # an integer too large for a float
+            raise _bad(f"{where}: vertex {index} is not finite", position=index) from None
     return vertices
 
 

@@ -80,10 +80,60 @@ HINT_KEYS = ("cache", "count_only")
 #: The envelope version this module speaks (and emits).
 WIRE_VERSION = 2
 
-_REQUEST_KEYS = ("v", "op", "dataset", "region", "group_by", "where", "aggregates", "hints")
+#: Keys every wire payload may carry, whatever its op.
+ENVELOPE_KEYS = ("v", "op", "dataset")
 
 #: Default output aggregates when a request names none.
 DEFAULT_AGGREGATES = (AggSpec("count"),)
+
+
+def check_envelope(payload: object, op: str, keys: tuple[str, ...]) -> None:
+    """The envelope check every wire op shares: ``payload`` must be an
+    object naming ``op`` in the v2 envelope, carrying no keys beyond
+    :data:`ENVELOPE_KEYS` and the op's own ``keys``, and a string
+    ``dataset`` if it names one.
+
+    A query alone may leave ``"op"`` and ``"v"`` out (the undecorated
+    payload is the default op), and its messages call it a "request".
+    """
+    if not isinstance(payload, Mapping):
+        raise ApiError(BAD_REQUEST, f"{op} must be an object, got {type(payload).__name__}")
+    if op == "query":
+        noun = "request"
+        if payload.get("op", op) != op:
+            raise ApiError(
+                BAD_REQUEST,
+                f"request op {payload['op']!r} is not a query; "
+                "append payloads are parsed by AppendRequest",
+            )
+        version = payload.get("v", WIRE_VERSION)
+        if version != WIRE_VERSION:
+            raise ApiError(
+                BAD_REQUEST,
+                f"unsupported envelope version {version!r}; this server speaks "
+                f"v{WIRE_VERSION}",
+            )
+    else:
+        noun = op
+        if payload.get("op") != op:
+            raise ApiError(BAD_REQUEST, f"{op} payload needs '\"op\": \"{op}\"'")
+        if payload.get("v") != WIRE_VERSION:
+            raise ApiError(
+                BAD_REQUEST,
+                f"{op} needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
+            )
+    expected = ENVELOPE_KEYS + keys
+    unknown = sorted(set(payload) - set(expected))
+    if unknown:
+        raise ApiError(
+            BAD_REQUEST,
+            f"unknown {noun} key(s) {unknown}; expected {list(expected)}",
+            details={"unknown": unknown},
+        )
+    dataset = payload.get("dataset")
+    if dataset is not None and not isinstance(dataset, str):
+        raise ApiError(BAD_REQUEST, "'dataset' must be a string name")
+
 
 def parse_where(payload: object) -> Predicate:
     """Parse a request's ``where`` payload into a predicate.
@@ -190,10 +240,14 @@ def parse_region(payload: object) -> Polygon | MultiPolygon | BoundingBox:
             raise ApiError(
                 BAD_REGION, "'bbox' must be [min_x, min_y, max_x, max_y] numbers"
             )
-        if not all(math.isfinite(value) for value in bbox):
+        try:
+            box = [float(value) for value in bbox]
+        except OverflowError:  # an integer too large for a float
+            box = [math.inf]
+        if not all(math.isfinite(value) for value in box):
             raise ApiError(BAD_REGION, "'bbox' values must be finite")
         try:
-            return BoundingBox(*(float(value) for value in bbox))
+            return BoundingBox(*box)
         except GeometryError as error:
             raise ApiError(BAD_REGION, str(error)) from error
     return region_from_geojson(payload)
@@ -322,6 +376,10 @@ class QueryRequest:
             payload["hints"] = hints
         return payload
 
+    #: The query's own wire keys (:func:`check_envelope` adds the
+    #: envelope's).
+    KEYS = ("region", "group_by", "where", "aggregates", "hints")
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "QueryRequest":
         """Parse a wire dict (strict: unknown keys are client errors).
@@ -329,38 +387,17 @@ class QueryRequest:
         A payload without ``"v"`` is read as the current envelope; any
         other version is rejected.
         """
-        if not isinstance(payload, Mapping):
-            raise ApiError(
-                BAD_REQUEST, f"query must be an object, got {type(payload).__name__}"
-            )
-        unknown = sorted(set(payload) - set(_REQUEST_KEYS))
-        if unknown:
-            raise ApiError(
-                BAD_REQUEST,
-                f"unknown request key(s) {unknown}; expected {list(_REQUEST_KEYS)}",
-                details={"unknown": unknown},
-            )
-        version = payload.get("v", WIRE_VERSION)
-        if version != WIRE_VERSION:
-            raise ApiError(
-                BAD_REQUEST,
-                f"unsupported envelope version {version!r}; this server speaks "
-                f"v{WIRE_VERSION}",
-            )
-        op = payload.get("op", "query")
-        if op != "query":
-            raise ApiError(
-                BAD_REQUEST,
-                f"request op {op!r} is not a query; "
-                "append payloads are parsed by AppendRequest",
-            )
+        check_envelope(payload, "query", cls.KEYS)
+        return cls.from_checked(payload)
+
+    @classmethod
+    def from_checked(cls, payload: Mapping) -> "QueryRequest":
+        """Parse a wire dict whose envelope :func:`check_envelope`
+        already passed."""
         if "region" not in payload and "group_by" not in payload:
             raise ApiError(BAD_REQUEST, "query needs a 'region' (or 'group_by')")
         if "region" in payload and "group_by" in payload:
             raise ApiError(BAD_REQUEST, "'region' and 'group_by' are mutually exclusive")
-        dataset = payload.get("dataset")
-        if dataset is not None and not isinstance(dataset, str):
-            raise ApiError(BAD_REQUEST, "'dataset' must be a string name")
         hints = payload.get("hints", {})
         if not isinstance(hints, Mapping):
             raise ApiError(BAD_HINT, "'hints' must be an object")
@@ -374,7 +411,7 @@ class QueryRequest:
         return cls(
             region=parse_region(payload["region"]) if "region" in payload else None,
             aggregates=parse_aggs(payload.get("aggregates", DEFAULT_AGGREGATES)),
-            dataset=dataset,
+            dataset=payload.get("dataset"),
             cache=hints.get("cache", True),
             count_only=hints.get("count_only", False),
             where=parse_where(payload["where"]) if "where" in payload else None,
@@ -581,7 +618,9 @@ class AppendRequest:
     rows: tuple[Mapping, ...]
     dataset: str | None = None
 
-    _KEYS = ("v", "op", "dataset", "rows")
+    #: The append's own wire key (:func:`check_envelope` adds the
+    #: envelope's).
+    KEYS = ("rows",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rows, (list, tuple)) or not self.rows:
@@ -606,30 +645,16 @@ class AppendRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AppendRequest":
-        if not isinstance(payload, Mapping):
-            raise ApiError(
-                BAD_REQUEST, f"append must be an object, got {type(payload).__name__}"
-            )
-        if payload.get("op") != "append":
-            raise ApiError(BAD_REQUEST, "append payload needs '\"op\": \"append\"'")
-        if payload.get("v") != WIRE_VERSION:
-            raise ApiError(
-                BAD_REQUEST,
-                f"append needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
-            )
-        unknown = sorted(set(payload) - set(cls._KEYS))
-        if unknown:
-            raise ApiError(
-                BAD_REQUEST,
-                f"unknown append key(s) {unknown}; expected {list(cls._KEYS)}",
-                details={"unknown": unknown},
-            )
-        dataset = payload.get("dataset")
-        if dataset is not None and not isinstance(dataset, str):
-            raise ApiError(BAD_REQUEST, "'dataset' must be a string name")
+        check_envelope(payload, "append", cls.KEYS)
+        return cls.from_checked(payload)
+
+    @classmethod
+    def from_checked(cls, payload: Mapping) -> "AppendRequest":
+        """Parse a wire dict whose envelope :func:`check_envelope`
+        already passed."""
         if "rows" not in payload:
             raise ApiError(BAD_REQUEST, "append needs 'rows'")
-        return cls(rows=payload["rows"], dataset=dataset)
+        return cls(rows=payload["rows"], dataset=payload.get("dataset"))
 
 
 @dataclass(frozen=True)
@@ -660,27 +685,6 @@ class AppendResponse:
             payload["dataset"] = self.dataset
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "AppendResponse":
-        if not isinstance(payload, Mapping):
-            raise ApiError(
-                BAD_REQUEST, f"response must be an object, got {type(payload).__name__}"
-            )
-        if payload.get("ok") is False:
-            raise ApiError(
-                payload.get("error", {}).get("code", INTERNAL),
-                payload.get("error", {}).get("message", "unknown error"),
-            )
-        data = payload.get("data")
-        if not isinstance(data, Mapping) or "appended" not in data:
-            raise ApiError(BAD_REQUEST, "append envelope needs 'data' with 'appended'")
-        return cls(
-            appended=int(data["appended"]),
-            in_place=int(data.get("in_place", 0)),
-            version=int(payload.get("version", 0)),
-            dataset=payload.get("dataset"),
-        )
-
 
 @dataclass(frozen=True)
 class MaterializeRequest:
@@ -701,7 +705,9 @@ class MaterializeRequest:
     query: QueryRequest
     name: str | None = None
 
-    _KEYS = ("v", "op", "dataset", "region", "where", "aggregates", "hints", "name")
+    #: The materialize op's own wire keys (:func:`check_envelope` adds
+    #: the envelope's).
+    KEYS = ("region", "where", "aggregates", "hints", "name")
 
     @property
     def dataset(self) -> str | None:
@@ -725,30 +731,17 @@ class MaterializeRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MaterializeRequest":
-        if not isinstance(payload, Mapping):
-            raise ApiError(
-                BAD_REQUEST, f"materialize must be an object, got {type(payload).__name__}"
-            )
-        if payload.get("op") != "materialize":
-            raise ApiError(BAD_REQUEST, "materialize payload needs '\"op\": \"materialize\"'")
-        if payload.get("v") != WIRE_VERSION:
-            raise ApiError(
-                BAD_REQUEST,
-                f"materialize needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
-            )
-        unknown = sorted(set(payload) - set(cls._KEYS))
-        if unknown:
-            raise ApiError(
-                BAD_REQUEST,
-                f"unknown materialize key(s) {unknown}; expected {list(cls._KEYS)}",
-                details={"unknown": unknown},
-            )
+        check_envelope(payload, "materialize", cls.KEYS)
+        return cls.from_checked(payload)
+
+    @classmethod
+    def from_checked(cls, payload: Mapping) -> "MaterializeRequest":
+        """Parse a wire dict whose envelope :func:`check_envelope`
+        already passed."""
         name = payload.get("name")
         if name is not None and (not isinstance(name, str) or not name):
             raise ApiError(BAD_REQUEST, "'name' must be a non-empty string")
-        inner = {key: value for key, value in payload.items() if key != "name"}
-        inner["op"] = "query"
-        return cls(query=QueryRequest.from_dict(inner), name=name)
+        return cls(query=QueryRequest.from_checked(payload), name=name)
 
 
 def as_request(obj: object) -> QueryRequest:

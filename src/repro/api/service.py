@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pathlib
 import threading
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 
 from repro.api.dataset import Dataset, Handle
 from repro.cache.tiers import TieredCache, get_cache
@@ -35,6 +36,7 @@ from repro.api.request import (
     QueryRequest,
     QueryResponse,
     as_request,
+    check_envelope,
 )
 
 
@@ -299,66 +301,21 @@ class GeoService:
 
     # -- wire-format entry points -----------------------------------------
 
-    _VIEWS_KEYS = ("v", "op", "dataset")
-    _DROP_VIEW_KEYS = ("v", "op", "dataset", "name")
-
-    def _check_op_payload(self, payload: Mapping, op: str, keys: tuple) -> None:
-        """Envelope discipline shared by the v2-only management ops:
-        exact version, no unknown keys (same strictness as queries)."""
-        if payload.get("v") != WIRE_VERSION:
-            raise ApiError(
-                BAD_REQUEST,
-                f"{op} needs the v{WIRE_VERSION} envelope ('\"v\": {WIRE_VERSION}')",
-            )
-        unknown = sorted(set(payload) - set(keys))
-        if unknown:
-            raise ApiError(
-                BAD_REQUEST,
-                f"unknown {op} key(s) {unknown}; expected {list(keys)}",
-                details={"unknown": unknown},
-            )
-        dataset = payload.get("dataset")
-        if dataset is not None and not isinstance(dataset, str):
-            raise ApiError(BAD_REQUEST, "'dataset' must be a string name")
-
     def run_dict(self, payload: dict) -> dict:
         """Transport entry point: wire dict in, envelope out, never
         raises for request-shaped failures.
 
-        Dispatches on ``"op"``: queries (the default), appends, and the
-        v2.1 view-management ops (``materialize`` / ``views`` /
-        ``drop_view``) share the one entry point, so an HTTP adapter
-        stays a single route.  A query without ``"v"`` is read as the
-        current envelope.
+        Dispatches on ``"op"`` through :data:`WIRE_OPS`: queries (the
+        default, also for an op no row names), appends, and the
+        view-management ops share the one entry point, so an HTTP
+        adapter stays a single route.  A query without ``"v"`` is read
+        as the current envelope.
         """
         try:
-            op = payload.get("op") if isinstance(payload, Mapping) else None
-            if op == "append":
-                return self.append(AppendRequest.from_dict(payload)).to_dict()
-            if op == "materialize":
-                request = MaterializeRequest.from_dict(payload)
-                info = self.materialize(request)
-                return {"ok": True, "v": WIRE_VERSION, "data": info}
-            if op == "views":
-                self._check_op_payload(payload, "views", self._VIEWS_KEYS)
-                return {
-                    "ok": True,
-                    "v": WIRE_VERSION,
-                    "data": self.views(payload.get("dataset")),
-                }
-            if op == "drop_view":
-                self._check_op_payload(payload, "drop_view", self._DROP_VIEW_KEYS)
-                name = payload.get("name")
-                if not isinstance(name, str) or not name:
-                    raise ApiError(
-                        BAD_REQUEST, "drop_view needs 'name', a non-empty string"
-                    )
-                return {
-                    "ok": True,
-                    "v": WIRE_VERSION,
-                    "data": self.drop_view(name, payload.get("dataset")),
-                }
-            return self.run(QueryRequest.from_dict(payload)).to_dict()
+            op = payload.get("op", "query") if isinstance(payload, Mapping) else "query"
+            wire_op = WIRE_OPS.get(op, QUERY_OP) if isinstance(op, str) else QUERY_OP
+            check_envelope(payload, wire_op.name, wire_op.keys)
+            return wire_op.handler(self, payload)
         except Exception as error:  # noqa: BLE001 - envelope boundary
             return error_envelope(error)
 
@@ -379,3 +336,65 @@ class GeoService:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GeoService(datasets={self.names})"
+
+
+# -- the wire table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WireOp:
+    """One wire op: its ``"op"`` name, its own payload keys (the
+    envelope's ``v``/``op``/``dataset`` come on top), the handler that
+    answers a payload whose envelope passed, and its dedicated HTTP
+    route, if it has one (every op also rides ``POST /query``)."""
+
+    name: str
+    keys: tuple[str, ...]
+    handler: Callable[[GeoService, Mapping], dict]
+    route: str | None = None
+
+
+def _ok(data: dict) -> dict:
+    return {"ok": True, "v": WIRE_VERSION, "data": data}
+
+
+def _query(service: GeoService, payload: Mapping) -> dict:
+    return service.run(QueryRequest.from_checked(payload)).to_dict()
+
+
+def _append(service: GeoService, payload: Mapping) -> dict:
+    return service.append(AppendRequest.from_checked(payload)).to_dict()
+
+
+def _materialize(service: GeoService, payload: Mapping) -> dict:
+    return _ok(service.materialize(MaterializeRequest.from_checked(payload)))
+
+
+def _views(service: GeoService, payload: Mapping) -> dict:
+    return _ok(service.views(payload.get("dataset")))
+
+
+def _drop_view(service: GeoService, payload: Mapping) -> dict:
+    name = payload.get("name")
+    if not isinstance(name, str) or not name:
+        raise ApiError(BAD_REQUEST, "drop_view needs 'name', a non-empty string")
+    return _ok(service.drop_view(name, payload.get("dataset")))
+
+
+#: Every op of the wire protocol, declared once: ``run_dict`` dispatches
+#: on it, the HTTP server routes by it, and the README documents it
+#: (``tests/test_readme_wire.py`` holds the two together).
+WIRE_OPS: dict[str, WireOp] = {
+    wire_op.name: wire_op
+    for wire_op in (
+        WireOp("query", QueryRequest.KEYS, _query),
+        WireOp("append", AppendRequest.KEYS, _append, "POST /append"),
+        WireOp("materialize", MaterializeRequest.KEYS, _materialize, "POST /materialize"),
+        WireOp("views", (), _views, "GET /views"),
+        WireOp("drop_view", ("name",), _drop_view),
+    )
+}
+
+#: The default op: a payload without ``"op"``, or naming none of the
+#: rows, is checked (and rejected) as a query.
+QUERY_OP = WIRE_OPS["query"]

@@ -80,7 +80,7 @@ class GeoClient:
             headers={key.lower(): value for key, value in response.getheaders()},
         )
 
-    # -- the five routes ----------------------------------------------------
+    # -- route helpers -----------------------------------------------------
 
     def query(self, payload: Mapping) -> WireReply:
         """POST one wire dict to ``/query``."""

@@ -110,6 +110,7 @@ class EdgeCache:
         self.invalidated = 0
         self.evictions = 0
         self.revalidations = 0
+        self.revalidation_failures = 0
 
     # -- lookup / store ----------------------------------------------------
 
@@ -176,7 +177,8 @@ class EdgeCache:
         concurrent stale hits of the same key trigger exactly one).
 
         ``recompute`` runs on a daemon thread and is expected to call
-        :meth:`store` (or not, on failure); the in-flight marker clears
+        :meth:`store`; a recompute that raises stores nothing and is
+        counted in ``revalidation_failures``.  The in-flight marker clears
         either way.  Returns whether a thread was actually started.
         """
         with self._lock:
@@ -186,11 +188,15 @@ class EdgeCache:
             self.revalidations += 1
 
         def run() -> None:
+            failed = False
             try:
                 recompute()
-            finally:
-                with self._lock:
-                    self._revalidating.discard(key)
+            except Exception:  # noqa: BLE001 - the stale entry keeps serving
+                failed = True
+            with self._lock:
+                self._revalidating.discard(key)
+                if failed:
+                    self.revalidation_failures += 1
 
         thread = threading.Thread(target=run, name=f"edge-revalidate-{key[:8]}", daemon=True)
         thread.start()
@@ -222,6 +228,7 @@ class EdgeCache:
                 "invalidated": self.invalidated,
                 "evictions": self.evictions,
                 "revalidations": self.revalidations,
+                "revalidation_failures": self.revalidation_failures,
                 "hit_rate": (self.hits + self.stale_served) / lookups if lookups else 0.0,
                 "ttl_s": self.ttl,
                 "stale_ttl_s": self.stale_ttl,

@@ -6,7 +6,8 @@ statuses (:data:`repro.api.errors.HTTP_STATUS`), and the per-dataset
 readers-writer lock makes concurrent query/append traffic safe -- so
 the server is a deliberately thin stdlib adapter:
 :class:`~http.server.ThreadingHTTPServer` plus a request handler that
-parses JSON, routes five endpoints, and replays edge-cached bodies.
+parses JSON, routes seven endpoints, and replays edge-cached bodies.
+The wire ops' own routes come from :data:`repro.api.service.WIRE_OPS`.
 
 Routes (all bodies JSON, all errors the ``{"ok": false}`` envelope):
 
@@ -27,7 +28,7 @@ Routes (all bodies JSON, all errors the ``{"ok": false}`` envelope):
 * ``GET /views`` -- every cached view (filtered + materialized) of a
   dataset, with hit counts, versions, and staleness
   (``?dataset=name`` selects one; optional with a sole dataset).
-* ``GET /stats`` -- server counters + edge-cache telemetry + the PR-5
+* ``GET /stats`` -- server counters + edge-cache telemetry + the
   tiered-cache stats, the materialized-view tier's ``mv`` block, and
   per-dataset versions.
 * ``GET /healthz`` -- liveness (always 200 once the socket is up).
@@ -44,7 +45,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from urllib.parse import parse_qs
 
 from repro.api.errors import (
@@ -54,12 +55,28 @@ from repro.api.errors import (
     error_envelope,
     http_status,
 )
-from repro.api.service import GeoService
+from repro.api.request import WIRE_VERSION
+from repro.api.service import WIRE_OPS, GeoService, WireOp
 from repro.server.edge import EdgeCache, body_key
 
 #: Largest accepted request body (a 1M-row append is ~100 MB of JSON;
 #: anything bigger should arrive as several batches).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The unified route: any op, or a list of queries as one batch.
+QUERY_PATH = "/query"
+
+#: The wire ops with a dedicated route, keyed by it (``"POST /append"``).
+ROUTED_OPS: dict[str, WireOp] = {
+    wire_op.route: wire_op for wire_op in WIRE_OPS.values() if wire_op.route
+}
+
+#: The server's own GET routes: path -> the 200 body it answers.
+SERVER_ROUTES: dict[str, Callable[["GeoHTTPServer"], dict]] = {
+    "/healthz": lambda server: {"ok": True, "status": "ok", "datasets": len(server.service)},
+    "/stats": lambda server: server.stats_payload(),
+    "/datasets": lambda server: dict(server.service.describe(), ok=True),
+}
 
 _JSON = "application/json"
 
@@ -136,87 +153,72 @@ class WireHandler(BaseHTTPRequestHandler):
         if length is None:
             self._fail(400, BAD_REQUEST, "request needs a Content-Length body", "POST")
             return None
-        size = int(length)
-        if size > MAX_BODY_BYTES:
-            self._fail(
-                400,
-                BAD_REQUEST,
-                f"body of {size} bytes exceeds the {MAX_BODY_BYTES}-byte limit; "
-                "split the payload into batches",
-                "POST",
+        try:
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0 or size > MAX_BODY_BYTES:
+            # The body is left unread, so the socket cannot carry
+            # another request: answer and close.
+            self.close_connection = True
+            message = (
+                f"Content-Length {length!r} is not a non-negative integer"
+                if size < 0
+                else f"body of {size} bytes exceeds the {MAX_BODY_BYTES}-byte limit; "
+                "split the payload into batches"
             )
+            self._fail(400, BAD_REQUEST, message, "POST")
             return None
         return self.rfile.read(size)
 
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._respond(
-                200,
-                {"ok": True, "status": "ok", "datasets": len(self.server.service)},
-                route="GET /healthz",
-            )
-        elif path == "/stats":
-            self._respond(200, self.server.stats_payload(), route="GET /stats")
-        elif path == "/datasets":
-            payload = dict(self.server.service.describe(), ok=True)
-            self._respond(200, payload, route="GET /datasets")
-        elif path == "/views":
-            query = self.path.split("?", 1)[1] if "?" in self.path else ""
-            name = parse_qs(query).get("dataset", [None])[0]
-            payload = {"v": 2, "op": "views"}
-            if name:
-                payload["dataset"] = name
-            status, body, _ = self.server.execute(payload)
-            self._respond(status, body=body, route="GET /views")
-        else:
-            self._fail(404, NOT_FOUND, f"no route GET {path}", "GET <unknown>")
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
+        route = f"GET {path}"
+        page = SERVER_ROUTES.get(path)
+        if page is not None:
+            self._respond(200, page(self.server), route=route)
+            return
+        wire_op = ROUTED_OPS.get(route)
+        if wire_op is None:
+            self._fail(404, NOT_FOUND, f"no route {route}", "GET <unknown>")
+            return
+        payload = {"v": WIRE_VERSION, "op": wire_op.name}
+        name = parse_qs(query).get("dataset", [None])[0]
+        if name:
+            payload["dataset"] = name
+        status, body, _ = self.server.execute(payload)
+        self._respond(status, body=body, route=route)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         path = self.path.split("?", 1)[0].rstrip("/")
-        if path not in ("/query", "/append", "/materialize"):
-            self._fail(404, NOT_FOUND, f"no route POST {path}", "POST <unknown>")
+        route = f"POST {path}"
+        wire_op = ROUTED_OPS.get(route)
+        if wire_op is None and path != QUERY_PATH:
+            self._fail(404, NOT_FOUND, f"no route {route}", "POST <unknown>")
             return
         raw = self._read_body()
         if raw is None:
             return
-        route = f"POST {path}"
         try:
             payload = json.loads(raw)
         except ValueError as error:
             self._fail(400, BAD_REQUEST, f"body is not valid JSON: {error}", route)
             return
-        if path == "/append":
-            self._handle_append(payload, route)
-        elif path == "/materialize":
-            self._handle_materialize(payload, route)
-        else:
+        if wire_op is None:
             self._handle_query(payload, raw, route)
-
-    def _handle_append(self, payload: object, route: str) -> None:
+            return
+        op = wire_op.name
         if not isinstance(payload, Mapping):
-            self._fail(400, BAD_REQUEST, "append body must be a JSON object", route)
+            self._fail(400, BAD_REQUEST, f"{op} body must be a JSON object", route)
             return
         # The route already says what the operation is; fill the
         # envelope fields in so curl bodies stay minimal.
-        payload = {"v": 2, "op": "append", **payload}
-        if payload.get("op") != "append":
-            self._fail(400, BAD_REQUEST, "POST /append body cannot override 'op'", route)
-            return
-        status, body, _ = self.server.execute(payload)
-        self._respond(status, body=body, x_cache="bypass", route=route)
-
-    def _handle_materialize(self, payload: object, route: str) -> None:
-        if not isinstance(payload, Mapping):
-            self._fail(400, BAD_REQUEST, "materialize body must be a JSON object", route)
-            return
-        payload = {"v": 2, "op": "materialize", **payload}
-        if payload.get("op") != "materialize":
-            self._fail(
-                400, BAD_REQUEST, "POST /materialize body cannot override 'op'", route
-            )
+        payload = {"v": WIRE_VERSION, "op": op, **payload}
+        if payload["op"] != op:
+            self._fail(400, BAD_REQUEST, f"{route} body cannot override 'op'", route)
             return
         status, body, _ = self.server.execute(payload)
         self._respond(status, body=body, x_cache="bypass", route=route)
@@ -236,7 +238,7 @@ class WireHandler(BaseHTTPRequestHandler):
             status, body, _ = self.server.execute(payload)
             self._respond(status, body=body, route=route)
             return
-        key = body_key("/query", raw)
+        key = body_key(QUERY_PATH, raw)
         state, entry = edge.lookup(key, self.server.service.versions())
         if entry is not None:
             if state == "stale":
@@ -254,7 +256,7 @@ class WireHandler(BaseHTTPRequestHandler):
 
 
 class GeoHTTPServer(ThreadingHTTPServer):
-    """The serving process: a :class:`GeoService` behind five routes.
+    """The serving process: a :class:`GeoService` behind seven routes.
 
     ``port=0`` binds an ephemeral port (tests; read :attr:`port` after
     construction).  ``threads`` bounds *concurrent request handling*

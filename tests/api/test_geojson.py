@@ -175,6 +175,38 @@ class TestNonFiniteCoordinates:
         assert excinfo.value.code == BAD_REGION
         assert "finite" in excinfo.value.message
 
+    def test_vertex_integer_too_large_for_a_float(self):
+        ring = [list(position) for position in SQUARE_CCW]
+        ring[2][0] = 10**400
+        with pytest.raises(ApiError) as excinfo:
+            region_from_geojson(polygon_geojson(ring))
+        assert excinfo.value.code == BAD_REGION
+        assert excinfo.value.details == {"position": 2}
+        assert "not finite" in excinfo.value.message
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_bbox_integer_too_large_for_a_float(self, index):
+        from repro.api import QueryRequest
+
+        bbox = [-74.0, 40.7, -73.9, 40.8]
+        bbox[index] = -(10**400) if index == 0 else 10**400
+        with pytest.raises(ApiError) as excinfo:
+            QueryRequest.from_dict({"region": {"bbox": bbox}, "aggregates": ["count"]})
+        assert excinfo.value.code == BAD_REGION
+        assert "finite" in excinfo.value.message
+
+    def test_service_answers_bad_region_not_internal(self):
+        """The envelope boundary turns the overflow into a client error."""
+        from repro.api import GeoService
+
+        ring = [list(position) for position in SQUARE_CCW]
+        ring[1][1] = 10**400
+        service = GeoService()
+        for region in (polygon_geojson(ring), {"bbox": [10**400, 0, 1, 1]}):
+            envelope = service.run_dict({"v": 2, "region": region})
+            assert envelope["ok"] is False
+            assert envelope["error"]["code"] == BAD_REGION
+
 
 class TestSerialisation:
     def test_polygon_round_trip(self):

@@ -383,7 +383,6 @@ class TestTelemetry:
             service.run_dict(versionless),
             service.run_dict(grouped),
             *service.run_batch_dict([versionless, wire_payload(quad_polygon), grouped]),
-            service.dataset("taxi").query_dict(versionless),
         ]
         for envelope in envelopes:
             assert envelope["ok"] is True

@@ -149,7 +149,6 @@ class TestRevalidation:
             deadline.wait(0.05)
         assert cache.lookup("k", V1)[0] == "hit"
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_marker_clears_after_failure(self, cache):
         def explode() -> None:
             raise RuntimeError("recompute failed")
@@ -159,7 +158,10 @@ class TestRevalidation:
             if "k" not in cache._revalidating:
                 break
             threading.Event().wait(0.05)
-        # The in-flight marker cleared, so the key can revalidate again.
+        # The in-flight marker cleared, so the key can revalidate again,
+        # and the failure was counted instead of killing the thread.
+        assert cache.revalidation_failures == 1
+        assert cache.stats()["revalidation_failures"] == 1
         assert cache.revalidate("k", lambda: None) is True
 
 
@@ -178,6 +180,19 @@ class TestMaintenance:
         cache.lookup("k", V1)  # stale (still counts as served)
         cache.lookup("zzz", V1)  # miss
         stats = cache.stats()
+        assert set(stats) == {
+            "entries",
+            "hits",
+            "misses",
+            "stale_served",
+            "invalidated",
+            "evictions",
+            "revalidations",
+            "revalidation_failures",
+            "hit_rate",
+            "ttl_s",
+            "stale_ttl_s",
+        }
         assert stats["hits"] == 1
         assert stats["stale_served"] == 1
         assert stats["misses"] == 1

@@ -5,6 +5,7 @@ states, graceful shutdown."""
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -140,6 +141,16 @@ class TestErrorMapping:
         assert HTTP_STATUS["internal"] == 500
         assert http_status("never-heard-of-it") == 500
 
+    def test_every_code_constant_has_a_status(self):
+        from repro.api import errors
+
+        constants = {
+            value
+            for name, value in vars(errors).items()
+            if name.isupper() and isinstance(value, str)
+        }
+        assert constants == set(errors.HTTP_STATUS) == set(errors.ERROR_CODES)
+
     @pytest.mark.parametrize(
         ("payload", "status", "code"),
         [
@@ -162,6 +173,9 @@ class TestErrorMapping:
             (dict(wire_query(), region=ring_region(1, 0, INF)), 400, "bad_region"),
             (dict(wire_query(), region={"bbox": [-74.0, 40.7, NAN, 40.8]}), 400, "bad_region"),
             (dict(wire_query(), region={"bbox": [-74.0, 40.7, -73.9, INF]}), 400, "bad_region"),
+            # A JSON integer too large for a float is not finite either.
+            (dict(wire_query(), region=ring_region(2, 0, 10**400)), 400, "bad_region"),
+            (dict(wire_query(), region={"bbox": [10**400, 40.7, -73.9, 40.8]}), 400, "bad_region"),
             # The retired execution-model hint is an unknown hint.
             (dict(wire_query(), hints={"mode": "kernel"}), HTTP_STATUS["bad_hint"], "bad_hint"),
         ],
@@ -193,6 +207,24 @@ class TestErrorMapping:
             assert body["error"]["code"] == "bad_request"
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_bad_content_length_answers_400_and_closes(self, server, length):
+        """A malformed or negative Content-Length is the client's error:
+        a 400 envelope, then the socket closes (its body end is
+        unknown).  The timeout turns a hang into a failure."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        envelope = json.loads(body)
+        assert envelope["error"]["code"] == "bad_request"
+        assert repr(length) in envelope["error"]["message"]
 
     def test_append_cannot_override_op(self, client):
         reply = client.request(
